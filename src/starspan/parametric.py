@@ -3,24 +3,29 @@ negative cycles, found in strongly polynomial time with exact arithmetic.
 
 The engine maintains a hop matrix D: entry (u, v) is the minimum weight of
 any walk from u to v using at most 2**hop_exponent edges, as a function of
-the parameter.  Min-plus squaring doubles the hop bound.  After each
-squaring, the breakpoints of the new entries are binary-searched against a
-negative-cycle probe, narrowing a bracket that always contains the answer;
-inside the narrowed bracket every entry is a single line, so the matrix is
-restricted and squared again.  After ceil(log2(|V|)) squarings the entries
-dominate all walks of length |V|, hence all simple cycles; the answer is
-then the largest zero among the negative-sloped diagonal lines that are
-still negative at the bracket's left end (or the left end itself).
+the parameter.  Min-plus squaring doubles the hop bound.  Inside a bracket
+that always contains the answer every entry is a single line; after a
+squaring an entry is the lower envelope of its chains u -> w -> v, and the
+bracket is narrowed against a negative-cycle probe until each entry is a
+single line again.  After ceil(log2(|V|)) squarings the entries dominate
+all walks of length |V|, hence all simple cycles; the answer is then the
+largest zero among the negative-sloped diagonal lines that are still
+negative at the bracket's left end (or the left end itself).
 
 Exactness and speed coexist by clearing denominators once: the metric is
-scaled to integers, so every slope and intercept stays a Python int and
-every breakpoint is a ratio of ints.  The parameter stays a Fraction.
-The inner squaring runs on numpy matrices: values at the two bracket ends
-are screened first, and only entries whose minimizing line differs between
-the two ends get a full envelope build (the envelope is concave, so a line
-minimal at both ends is minimal throughout).  A per-call bound on every
-intermediate value picks int64 when provably safe and exact big-integer
-object arrays otherwise; both paths are exact.
+scaled to integers, so every slope and intercept stays an integer and
+every crossing is a ratio of integers.  The parameter stays a Fraction.
+Each squaring runs on numpy matrices in two steps.  The screen evaluates
+every chain at both bracket ends; an entry with one chain minimal at both
+ends is that line throughout, since the envelope is concave.  The other
+entries are resolved in crossing rounds, batched across entries in the
+manner of Megiddo's parametric search: per entry, the line in force just
+right of the left end and the one just left of the right end are picked,
+the bracket is binary-searched over all their distinct crossings, and the
+picks are repeated at the new ends.  Each round removes an envelope piece
+from every entry still pending, so no envelope is ever built.  A bound on
+every intermediate value picks int64 when provably safe and exact
+big-integer object arrays otherwise; both paths are exact.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,9 +45,9 @@ from .linfun import (
     PLUS_INFINITY,
     PiecewiseLinearFn,
     Rational,
-    _clip_hull,
-    _hull_of_lines,
+    add,
     breakpoints as fn_breakpoints,
+    lower_envelope,
     restrict_to_line,
 )
 from .metric import MetricSpace, dilation_bounds, scaled_int_rows
@@ -105,90 +110,165 @@ def _plan_dtype(value_bound: int):
     return object, sent, sent >> 1
 
 
-def _square_int(
-    mrows: List[List[int]],
-    brows: List[List[int]],
-    fin: np.ndarray,
-    interval: Interval,
-):
-    """One exact min-plus squaring of integer-coefficient line entries.
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _planned(mat_m: np.ndarray, mat_b: np.ndarray, interval: Interval):
+    """The coefficient matrices in the dtype certified for interval, plus
+    that dtype's (sentinel, threshold).
+
+    The bound covers every two-entry chain's value at either end (a
+    chain's coefficients are at most twice the largest entry's), the
+    ends' own numerators and denominators, and the numerator and
+    denominator of any crossing between two chains.
+    """
+    max_m, max_b = _max_abs(mat_m), _max_abs(mat_b)
+    max_p = max(abs(interval.lo.numerator), abs(interval.hi.numerator))
+    max_q = max(interval.lo.denominator, interval.hi.denominator)
+    bound = 2 * (max_m * max_p + max_b * max_q) + max_p + max_q + 4 * (max_m + max_b) + 1
+    dtype, sent, thresh = _plan_dtype(bound)
+    return mat_m.astype(dtype, copy=False), mat_b.astype(dtype, copy=False), sent, thresh
+
+
+def _end_values(mat_m: np.ndarray, mat_b: np.ndarray, fin: np.ndarray, x: Fraction, sent):
+    """q * (slope * x + intercept) for every entry at x = p/q; sent where
+    the entry is infinite."""
+    vals = mat_m * x.numerator + mat_b * x.denominator
+    vals[~fin] = sent
+    return vals
+
+
+def _square_int(mat_m: np.ndarray, mat_b: np.ndarray, fin: np.ndarray, interval: Interval):
+    """One exact min-plus squaring of integer-coefficient line entries,
+    screened at both interval ends.
 
     Entry (u, v) minimizes slope*lam + intercept over all two-entry
-    chains u -> w -> v.  An entry whose minimizing chain is the same at
-    both interval endpoints is emitted as that single line (the envelope
-    is concave, so a line minimal at both ends is minimal throughout).
-    Every other finite entry gets its exact lower envelope.
+    chains u -> w -> v.  An entry with one chain minimal at both ends is
+    that chain's line throughout (the envelope is concave) and is
+    written to the result.  Every other finite entry is left pending for
+    _resolve_pending.
 
-    Returns (mrows2, brows2, fin2, env, max_breaks) where env maps
-    (u, v) -> (pieces, cuts): pieces are (slope, intercept) int pairs in
-    force left to right across the interval, cuts the breakpoints
-    strictly inside it (len(cuts) == len(pieces) - 1 >= 1).  mrows2 and
-    brows2 hold garbage at env and infinite positions; callers resolve
-    env entries after narrowing the interval.
+    Returns (out_m, out_b, out_fin, pend_u, pend_v): the squared
+    coefficient matrices, with 0 at infinite entries and a placeholder
+    line at pending ones, the finiteness mask, and the pending entries'
+    coordinates.
     """
-    order = len(mrows)
-    p1, q1 = interval.lo.numerator, interval.lo.denominator
-    p2, q2 = interval.hi.numerator, interval.hi.denominator
-    max_m = max((abs(v) for row in mrows for v in row), default=0)
-    max_b = max((abs(v) for row in brows for v in row), default=0)
-    max_p = max(abs(p1), abs(p2))
-    max_q = max(q1, q2)
-    # the trailing max_p + max_q keeps the endpoint numerators themselves
-    # inside the certified range even when a coefficient side is all zero
-    bound = 2 * (max_m * max_p + max_b * max_q) + max_p + max_q + 1
-    dtype, sent, thresh = _plan_dtype(bound)
-    mat_m = np.array(mrows, dtype=dtype)
-    mat_b = np.array(brows, dtype=dtype)
-    v1 = mat_m * p1 + mat_b * q1
-    v2 = mat_m * p2 + mat_b * q2
-    v1[~fin] = sent
-    v2[~fin] = sent
+    order = len(fin)
+    mat_m, mat_b, sent, thresh = _planned(mat_m, mat_b, interval)
+    v1 = _end_values(mat_m, mat_b, fin, interval.lo, sent)
+    v2 = _end_values(mat_m, mat_b, fin, interval.hi, sent)
     cols = np.arange(order)
-    point = interval.is_point
-    out_m: List[List[int]] = []
-    out_b: List[List[int]] = []
+    out_m = np.zeros((order, order), dtype=mat_m.dtype)
+    out_b = np.zeros_like(out_m)
     out_fin = np.zeros((order, order), dtype=bool)
-    env: Dict[Tuple[int, int], Tuple[List[Tuple[int, int]], List[Fraction]]] = {}
-    max_breaks = 0
+    covered = np.zeros((order, order), dtype=bool)
     for u in range(order):
         s1 = v1[u][:, None] + v1
         w1 = s1.min(axis=0)
         fin_v = w1 < thresh
-        if point:
-            wsel = s1.argmin(axis=0)
-            covered = fin_v
-        else:
-            s2 = v2[u][:, None] + v2
-            w2 = s2.min(axis=0)
-            both = (s1 == w1[None, :]) & (s2 == w2[None, :])
-            covered = both.any(axis=0) & fin_v
-            wsel = both.argmax(axis=0)
-        mm = np.where(fin_v, mat_m[u, wsel] + mat_m[wsel, cols], 0)
-        bb = np.where(fin_v, mat_b[u, wsel] + mat_b[wsel, cols], 0)
-        out_m.append([int(x) for x in mm])
-        out_b.append([int(x) for x in bb])
+        s2 = v2[u][:, None] + v2
+        w2 = s2.min(axis=0)
+        both = (s1 == w1[None, :]) & (s2 == w2[None, :])
+        wsel = both.argmax(axis=0)
+        out_m[u] = np.where(fin_v, mat_m[u, wsel] + mat_m[wsel, cols], 0)
+        out_b[u] = np.where(fin_v, mat_b[u, wsel] + mat_b[wsel, cols], 0)
         out_fin[u] = fin_v
-        for v in np.nonzero(fin_v & ~covered)[0]:
-            v = int(v)
-            mask = fin[u, :] & fin[:, v]
-            cand_m = (mat_m[u, :] + mat_m[:, v])[mask]
-            cand_b = (mat_b[u, :] + mat_b[:, v])[mask]
-            lines = list(zip([int(x) for x in cand_m], [int(x) for x in cand_b]))
-            hull, cuts = _hull_of_lines(lines)
-            if len(hull) > order:
-                raise InternalInvariantError("envelope has more pieces than lines")
-            pieces, inner = _clip_hull(hull, cuts, interval.lo, interval.hi)
-            if len(inner) < 1:
-                raise InternalInvariantError(
-                    "uncovered entry clipped to a single line"
-                )
-            max_breaks = max(max_breaks, len(inner))
-            env[(u, v)] = (pieces, inner)
-    return out_m, out_b, out_fin, env, max_breaks
+        covered[u] = both.any(axis=0)
+    pend_u, pend_v = np.nonzero(out_fin & ~covered)
+    return out_m, out_b, out_fin, pend_u, pend_v
+
+
+def _pick_lines(mat_m, mat_b, at_lo, at_hi, us, vs, sent):
+    """For each pending entry (us[i], vs[i]): the chain line minimal at
+    lo, ties going to the smallest slope, and the one minimal at hi, ties
+    going to the largest slope.  These are the envelope's pieces just
+    right of lo and just left of hi.  Returns (m1, b1, m2, b2)."""
+    slopes = mat_m[us] + mat_m[:, vs].T
+    rows = np.arange(len(us))
+    vals = at_lo[us] + at_lo[:, vs].T
+    w1 = np.where(vals == vals.min(axis=1)[:, None], slopes, sent).argmin(axis=1)
+    vals = at_hi[us] + at_hi[:, vs].T
+    w2 = np.where(vals == vals.min(axis=1)[:, None], slopes, -sent).argmax(axis=1)
+    return (
+        slopes[rows, w1],
+        mat_b[us, w1] + mat_b[w1, vs],
+        slopes[rows, w2],
+        mat_b[us, w2] + mat_b[w2, vs],
+    )
+
+
+def _distinct_cuts(num: np.ndarray, den: np.ndarray) -> List[Fraction]:
+    """The distinct values of num/den (den > 0), sorted."""
+    if num.dtype == object:
+        return sorted({Fraction(int(a), int(b)) for a, b in zip(num, den)})
+    g = np.gcd(num, den)
+    pairs = np.unique(np.stack((num // g, den // g), axis=1), axis=0)
+    return sorted(Fraction(int(a), int(b)) for a, b in pairs)
+
+
+def _resolve_pending(
+    mat_m: np.ndarray,
+    mat_b: np.ndarray,
+    fin: np.ndarray,
+    out_m: np.ndarray,
+    out_b: np.ndarray,
+    pend_u: np.ndarray,
+    pend_v: np.ndarray,
+    interval: Interval,
+    probe: Callable[[Fraction], bool],
+) -> Tuple[Interval, int]:
+    """Resolve the entries _square_int left pending, in crossing rounds,
+    writing their lines into out_m/out_b and narrowing the interval.
+
+    mat_m/mat_b/fin are the matrix that was squared.  Each round picks
+    two lines per pending entry (_pick_lines).  Equal lines are the
+    entry's line throughout.  Otherwise the two cross strictly inside the
+    interval, no further left than the entry's first envelope breakpoint
+    and no further right than its last one.  Binary-searching all
+    distinct crossings with the probe leaves each of them outside the
+    narrowed interval's interior, so every still-pending entry loses at
+    least one envelope piece per round: at most |V| - 1 rounds.  Pending
+    entries go in blocks of |V| so temporaries stay the size of one
+    screen row.
+
+    Returns (interval, rounds), rounds counting those that had crossings.
+    """
+    order = len(fin)
+    rounds = 0
+    while True:
+        mat_m, mat_b, sent, _ = _planned(mat_m, mat_b, interval)
+        at_lo = _end_values(mat_m, mat_b, fin, interval.lo, sent)
+        at_hi = _end_values(mat_m, mat_b, fin, interval.hi, sent)
+        keep = np.zeros(len(pend_u), dtype=bool)
+        nums, dens = [], []
+        for s in range(0, len(pend_u), order):
+            blk = slice(s, s + order)
+            us, vs = pend_u[blk], pend_v[blk]
+            m1, b1, m2, b2 = _pick_lines(mat_m, mat_b, at_lo, at_hi, us, vs, sent)
+            # entries still open are overwritten in a later round
+            out_m[us, vs] = m1
+            out_b[us, vs] = b1
+            keep[blk] = open_ = (m1 != m2) | (b1 != b2)
+            nums.append((b2 - b1)[open_])
+            dens.append((m1 - m2)[open_])
+        if not keep.any():
+            return interval, rounds
+        rounds += 1
+        if rounds > order - 1:
+            raise InternalInvariantError("an entry needed more than |V| - 1 crossing rounds")
+        den = np.concatenate(dens)
+        if (den <= 0).any():
+            raise InternalInvariantError("picked lines do not cross left to right")
+        cuts = _distinct_cuts(np.concatenate(nums), den)
+        if cuts[0] <= interval.lo or cuts[-1] >= interval.hi:
+            raise InternalInvariantError("crossing outside the bracket")
+        interval = _binary_search_interval(cuts, interval, probe)
+        pend_u, pend_v = pend_u[keep], pend_v[keep]
 
 
 def _pack_fraction_matrix(d: HopMatrix):
-    """Clear denominators across all line coefficients: (mrows, brows,
+    """Clear denominators across all line coefficients: (mat_m, mat_b,
     fin, scale) with slope = m/scale, intercept = b/scale."""
     order = d.order
     scale = 1
@@ -203,8 +283,8 @@ def _pack_fraction_matrix(d: HopMatrix):
             scale = math.lcm(
                 scale, Fraction(e.slope).denominator, Fraction(e.intercept).denominator
             )
-    mrows = [[0] * order for _ in range(order)]
-    brows = [[0] * order for _ in range(order)]
+    mat_m = np.zeros((order, order), dtype=object)
+    mat_b = np.zeros((order, order), dtype=object)
     fin = np.zeros((order, order), dtype=bool)
     for u in range(order):
         for v in range(order):
@@ -212,9 +292,9 @@ def _pack_fraction_matrix(d: HopMatrix):
             if e is PLUS_INFINITY:
                 continue
             fin[u, v] = True
-            mrows[u][v] = int(Fraction(e.slope) * scale)
-            brows[u][v] = int(Fraction(e.intercept) * scale)
-    return mrows, brows, fin, scale
+            mat_m[u, v] = int(Fraction(e.slope) * scale)
+            mat_b[u, v] = int(Fraction(e.intercept) * scale)
+    return mat_m, mat_b, fin, scale
 
 
 def _coeff(x: int, scale: int) -> Rational:
@@ -226,28 +306,27 @@ def square(d: HopMatrix) -> HopMatrix:
     entries (u, w) + (w, v), doubling the hop exponent.
 
     Requires every entry to be a single LinearFn or PLUS_INFINITY (true
-    for the initial matrix and after restriction).
+    for the initial matrix and after restriction).  Entries the
+    production screen resolves become lines; the rest get their full
+    envelope on the valid interval.
     """
-    mrows, brows, fin, scale = _pack_fraction_matrix(d)
-    out_m, out_b, out_fin, env, _ = _square_int(mrows, brows, fin, d.valid_interval)
+    mat_m, mat_b, fin, scale = _pack_fraction_matrix(d)
+    out_m, out_b, out_fin, pend_u, pend_v = _square_int(mat_m, mat_b, fin, d.valid_interval)
+    pending = set(zip(pend_u.tolist(), pend_v.tolist()))
     r = d.valid_interval
     rows: List[List[object]] = []
     for u in range(d.order):
         row: List[object] = []
         for v in range(d.order):
-            if not out_fin[u][v]:
+            if not out_fin[u, v]:
                 row.append(PLUS_INFINITY)
-            elif (u, v) in env:
-                pieces, inner = env[(u, v)]
-                parts = [
-                    (LinearFn(_coeff(m, scale), _coeff(b, scale)), Fraction(x))
-                    for (m, b), x in zip(pieces, inner)
-                ]
-                last_m, last_b = pieces[-1]
-                parts.append((LinearFn(_coeff(last_m, scale), _coeff(last_b, scale)), r.hi))
-                row.append(PiecewiseLinearFn(r, tuple(parts)))
+            elif (u, v) in pending:
+                lines = [add(d.entries[u][w], d.entries[w][v]) for w in range(d.order)]
+                f = lower_envelope(lines, r)
+                row.append(f.pieces[0][0] if len(f.pieces) == 1 else f)
             else:
-                row.append(LinearFn(_coeff(out_m[u][v], scale), _coeff(out_b[u][v], scale)))
+                m, b = int(out_m[u, v]), int(out_b[u, v])
+                row.append(LinearFn(_coeff(m, scale), _coeff(b, scale)))
         rows.append(row)
     return HopMatrix(d.order, tuple(map(tuple, rows)), d.hop_exponent + 1, r)
 
@@ -355,12 +434,19 @@ def _d0_int(rows: List[List[int]]):
             if s != t:
                 fin[s, n + t] = True
                 mrows[s][n + t] = rows[s][t]
-    return mrows, brows, fin
+    return np.array(mrows, dtype=object), np.array(brows, dtype=object), fin
 
 
 @dataclass(frozen=True)
 class RunStats:
-    """Instrumentation from one optimal-dilation computation."""
+    """Instrumentation from one optimal-dilation computation.
+
+    max_breakpoints is the most crossing rounds any entry needed in one
+    squaring.  Each round removes at least one envelope piece from every
+    entry it crosses, so the count never exceeds that entry's breakpoints
+    inside the bracket, nor |V| - 1.  probe_count counts the
+    negative-cycle probes made while narrowing, not the final check.
+    """
 
     iterations: int
     max_breakpoints: int
@@ -380,7 +466,7 @@ def lambda_star_detailed(g: LambdaGraph, m: MetricSpace) -> Tuple[Fraction, RunS
     nv = 2 * n
     interval = initial_interval(g, m)
     rows, _ = scaled_int_rows(m.dist)
-    mrows, brows, fin = _d0_int(rows)
+    mat_m, mat_b, fin = _d0_int(rows)
     iterations = (nv - 1).bit_length()
     probes = 0
     max_breaks = 0
@@ -391,26 +477,18 @@ def lambda_star_detailed(g: LambdaGraph, m: MetricSpace) -> Tuple[Fraction, RunS
         return _probe_negative_cycle(rows, t)
 
     for _ in range(iterations):
-        mrows, brows, fin, env, mb = _square_int(mrows, brows, fin, interval)
-        max_breaks = max(max_breaks, mb)
-        if mb > nv - 1:
-            raise InternalInvariantError("entry envelope exceeded |V| - 1 breakpoints")
-        all_cuts = sorted({c for _, cuts in env.values() for c in cuts})
-        if all_cuts:
-            interval = _binary_search_interval(all_cuts, interval, probe)
-        for (u, v), (pieces, cuts) in env.items():
-            k = 0
-            while k < len(cuts) and cuts[k] <= interval.lo:
-                k += 1
-            if k < len(cuts) and cuts[k] < interval.hi:
-                raise InternalInvariantError("breakpoint survived narrowing")
-            mrows[u][v], brows[u][v] = pieces[k]
+        out_m, out_b, out_fin, pend_u, pend_v = _square_int(mat_m, mat_b, fin, interval)
+        interval, rounds = _resolve_pending(
+            mat_m, mat_b, fin, out_m, out_b, pend_u, pend_v, interval, probe
+        )
+        max_breaks = max(max_breaks, rounds)
+        mat_m, mat_b, fin = out_m, out_b, out_fin
     lam = interval.lo
     p1, q1 = interval.lo.numerator, interval.lo.denominator
     for v in range(nv):
-        if not fin[v][v]:
+        if not fin[v, v]:
             raise InternalInvariantError("diagonal entry still infinite at the end")
-        mv, bv = mrows[v][v], brows[v][v]
+        mv, bv = int(mat_m[v, v]), int(mat_b[v, v])
         if mv * p1 + bv * q1 < 0:
             if mv == 0:
                 raise InternalInvariantError("flat diagonal entry is negative")

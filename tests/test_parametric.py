@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from starspan import (
     PLUS_INFINITY,
@@ -12,6 +15,8 @@ from starspan import (
     HopMatrix,
     Interval,
     LinearFn,
+    MetricSpace,
+    MetricViolation,
     build_lambda_graph,
     gen_random_metric,
     has_negative_cycle,
@@ -301,3 +306,46 @@ class TestLambdaStar:
         monkeypatch.setattr(parametric, "_INT64_VALUE_LIMIT", 1)
         got = [lambda_star(build_lambda_graph(m), m) for m in cases]
         assert got == want
+
+
+# Large primes as denominators: clearing them scales the metric far past
+# int64, and crossings between chains become ratios of huge integers.
+BIG_PRIMES = (2147483647, 1000000007, 998244353, 2305843009213693951)
+
+
+@st.composite
+def adversarial_metrics(draw):
+    """Small metrics built to stress ties and exactness: distances from
+    tiny value sets (many equal chains), or rationals in (1, 2) over one
+    big prime.  The {1, 2, 3} set also yields non-metrics, which are
+    discarded."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(("ones-twos", "three-to-six", "one-to-three", "primes")))
+    if kind == "primes":
+        p = draw(st.sampled_from(BIG_PRIMES))
+        value = st.builds(lambda a: 1 + F(a, p), st.integers(1, p - 1))
+    else:
+        value = st.sampled_from({"ones-twos": (1, 2), "three-to-six": (3, 4, 5, 6),
+                                 "one-to-three": (1, 2, 3)}[kind])
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = F(draw(value))
+    try:
+        return MetricSpace(tuple(str(i) for i in range(n)), rows)
+    except MetricViolation:
+        assume(False)
+
+
+class TestAdversarial:
+    @given(adversarial_metrics())
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    def test_matches_cycle_enumeration_on_both_dtype_paths(self, m):
+        g = build_lambda_graph(m)
+        want = exact_lambda_by_cycles(g)
+        star, stats = lambda_star_detailed(g, m)
+        assert star == want
+        assert stats.final_interval.contains(star)
+        assert stats.max_breakpoints <= 2 * m.n - 1
+        with mock.patch.object(parametric, "_INT64_VALUE_LIMIT", 1):
+            assert lambda_star_detailed(g, m) == (star, stats)
