@@ -8,7 +8,6 @@ approximation.
 """
 
 from .errors import (
-    BreakpointInside,
     DomainError,
     InternalInvariantError,
     MetricViolation,
@@ -20,8 +19,6 @@ from .errors import (
 )
 from .extract import (
     PathLengths,
-    SourceGraph,
-    build_source_graph,
     embed,
     embed_detailed,
     hub_lengths,
@@ -41,13 +38,7 @@ from .lgraph import (
 from .linfun import (
     Interval,
     LinearFn,
-    PLUS_INFINITY,
-    PiecewiseLinearFn,
     add,
-    breakpoints,
-    evaluate,
-    lower_envelope,
-    restrict_to_line,
 )
 from .metric import (
     GENERATOR_MODELS,
@@ -73,16 +64,9 @@ from .oracle import (
     exact_lambda_by_cycles,
 )
 from .parametric import (
-    HopMatrix,
     RunStats,
-    SearchInterval,
-    initial_interval,
-    initialize_d0,
     lambda_star,
     lambda_star_detailed,
-    narrow_interval,
-    restrict_hop,
-    square,
 )
 
 __version__ = "0.1.0"

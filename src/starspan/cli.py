@@ -36,6 +36,7 @@ from .metric import (
     verify_star,
 )
 from .oracle import MAX_EXACT_SITES, bisect_lambda, exact_lambda_by_cycles
+from .parametric import lambda_star
 
 RESULT_SCHEMA = 1
 
@@ -48,10 +49,14 @@ def rational_to_decimal_str(x: Fraction, digits: int = 20) -> str:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise ParseError(f"{name} is not valid UTF-8 text: {exc}") from exc
 
 
 def _load_metric(path: str, fmt: str) -> MetricSpace:
@@ -93,9 +98,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    m = _load_metric(args.metric, args.format)
-    s, _ = embed_detailed(m)
-    print(f"{s.lambda_star} {rational_to_decimal_str(s.lambda_star)}")
+    lam = lambda_star(_load_metric(args.metric, args.format))
+    print(f"{lam} {rational_to_decimal_str(lam)}")
     return 0
 
 
@@ -153,11 +157,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",") if x]
-    seeds = [int(x) for x in args.seeds.split(",") if x]
     rows = ["n,seed,model,wall_seconds,lambda_star,iterations,max_breakpoints"]
-    for n in sizes:
-        for seed in seeds:
+    for n in args.sizes:
+        for seed in args.seeds:
             m = gen_random_metric(n, seed, args.model)
             t0 = time.perf_counter()
             s, stats = embed_detailed(m)
@@ -190,6 +192,14 @@ def cmd_oracle(args) -> int:
         lam = bisect_lambda(g, m, to_rational(args.tol))
         print(f"{lam} {rational_to_decimal_str(lam)}")
     return 0
+
+
+def _int_list(text: str) -> list:
+    """Comma-separated integers, as an argparse type; empty items skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -235,8 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_gen)
 
     sp = sub.add_parser("bench", help="time the solver across sizes")
-    sp.add_argument("--sizes", default="32,64,128", help="comma-separated site counts")
-    sp.add_argument("--seeds", default="1", help="comma-separated seeds")
+    sp.add_argument(
+        "--sizes", type=_int_list, default="32,64,128", help="comma-separated site counts"
+    )
+    sp.add_argument("--seeds", type=_int_list, default="1", help="comma-separated seeds")
     sp.add_argument(
         "--model", choices=("shortest_path", "rounded_euclidean"), default="shortest_path"
     )

@@ -32,11 +32,6 @@ class DomainError(StarspanError):
     """An argument lies outside an operation's documented domain."""
 
 
-class BreakpointInside(StarspanError):
-    """A piecewise function was asked for its single line on an interval
-    that strictly contains one of its breakpoints."""
-
-
 class NegativeCycleError(StarspanError):
     """Shortest paths were requested on a graph with a negative cycle."""
 

@@ -32,31 +32,6 @@ from .parametric import RunStats, lambda_star_detailed
 
 
 @dataclass(frozen=True)
-class SourceGraph:
-    """Comparison graph at a fixed parameter plus a zero-weight source.
-
-    The source vertex has id 2n and an edge of weight 0 to every over
-    vertex.  Edge weights are exact constants, sorted by (from, to).
-    """
-
-    site_count: int
-    source: int
-    edges: Tuple[Tuple[int, int, Fraction], ...]
-    lam: Fraction
-
-
-def build_source_graph(g: LambdaGraph, lam_star: Rational) -> SourceGraph:
-    """Evaluate g's edges at lam_star and attach the super-source."""
-    lam = Fraction(lam_star)
-    n = g.site_count
-    src = 2 * n
-    edges = [(u, v, Fraction(e.slope * lam + e.intercept)) for u, v, e in g.edges]
-    edges.extend((src, over_vertex(v, n), Fraction(0)) for v in range(n))
-    edges.sort(key=lambda e: (e[0], e[1]))
-    return SourceGraph(n, src, tuple(edges), lam)
-
-
-@dataclass(frozen=True)
 class PathLengths:
     """Shortest path lengths from the super-source, by vertex id."""
 
@@ -93,7 +68,7 @@ def hub_lengths(pl: PathLengths, n: int) -> List[Fraction]:
 def embed_detailed(m: MetricSpace) -> Tuple[StarEmbedding, RunStats]:
     """Optimal star embedding plus search statistics."""
     g = build_lambda_graph(m)
-    lam, stats = lambda_star_detailed(g, m)
+    lam, stats = lambda_star_detailed(m)
     pl = source_path_lengths(g, lam)
     c = hub_lengths(pl, m.n)
     return StarEmbedding(m.labels, tuple(c), lam), stats

@@ -101,12 +101,13 @@ class CycleWitness:
     probe: Fraction
 
 
-def _scaled_edges(edge_list) -> List[Tuple[int, int, int]]:
-    """Clear denominators of (u, v, Fraction weight) edges; order kept."""
+def _scaled_edges(edge_list) -> Tuple[List[Tuple[int, int, int]], int]:
+    """Clear denominators of (u, v, Fraction weight) edges, order kept:
+    returns (integer edges, scale) with every weight multiplied by scale."""
     scale = 1
     for _, _, w in edge_list:
         scale = math.lcm(scale, w.denominator)
-    return [(u, v, int(w * scale)) for u, v, w in edge_list]
+    return [(u, v, int(w * scale)) for u, v, w in edge_list], scale
 
 
 def _extract_verified_cycle(pred, start, weight_of, lam, cap):
@@ -156,7 +157,7 @@ def has_negative_cycle(g: LambdaGraph, lam: Rational) -> Optional[CycleWitness]:
     lam = Fraction(lam)
     nv = 2 * g.site_count
     exact = [(u, v, e.slope * lam + e.intercept) for u, v, e in g.edges]
-    edges = _scaled_edges(exact)
+    edges, _ = _scaled_edges(exact)
     weight_of = {(u, v): e for u, v, e in g.edges}
     dist = [0] * nv
     pred = [-1] * nv
@@ -217,10 +218,7 @@ def sssp_lengths(
         raise DomainError(f"source {source} is not a vertex")
     exact = ext + [(u, v, e.slope * lam + e.intercept) for u, v, e in g.edges]
     exact.sort(key=lambda e: (e[0], e[1]))
-    scale = 1
-    for _, _, w in exact:
-        scale = math.lcm(scale, w.denominator)
-    edges = [(u, v, int(w * scale)) for u, v, w in exact]
+    edges, scale = _scaled_edges(exact)
     dist: List[Optional[int]] = [None] * count
     dist[source] = 0
     for rnd in range(1, count + 1):

@@ -1,11 +1,10 @@
-"""Exact linear functions of one parameter and their lower envelopes.
+"""Exact lines in one parameter and closed parameter intervals.
 
-Coefficients, breakpoints, and evaluation points are exact rationals; plain
-ints are accepted anywhere a rational is.  Nothing in this module rounds.
-The envelope construction is the classic slope-sorted stack pass, so k lines
-produce at most k pieces and k - 1 breakpoints.  All comparisons inside the
-hull loop cross-multiply instead of dividing, which keeps them in integer
-arithmetic whenever the inputs are integers.
+A LinearFn is the line x -> slope*x + intercept; the comparison graph's
+edge weights and the weights of its cycles are such lines.  An Interval
+is a closed bracket [lo, hi] of parameter values.  Coefficients,
+endpoints and evaluation points are exact rationals; plain ints are
+accepted anywhere a rational is.  Nothing in this module rounds.
 
 All values here are immutable and the functions are pure.
 """
@@ -14,28 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Union
 
-from .errors import BreakpointInside, DomainError, InternalInvariantError
+from .errors import DomainError
 
 Rational = Union[int, Fraction]
-
-
-class _PlusInfinity:
-    """Absorbing "no path yet" weight.  A sentinel, not a number."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "PLUS_INFINITY"
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-
-PLUS_INFINITY = _PlusInfinity()
 
 
 def _ratio(num: Rational, den: Rational) -> Fraction:
@@ -62,13 +44,8 @@ class LinearFn:
         return _ratio(-self.intercept, self.slope)
 
 
-LineOrInf = Union[LinearFn, _PlusInfinity]
-
-
-def add(f: LineOrInf, g: LineOrInf) -> LineOrInf:
-    """Pointwise sum; PLUS_INFINITY absorbs."""
-    if f is PLUS_INFINITY or g is PLUS_INFINITY:
-        return PLUS_INFINITY
+def add(f: LinearFn, g: LinearFn) -> LinearFn:
+    """Pointwise sum of two lines."""
     return LinearFn(f.slope + g.slope, f.intercept + g.intercept)
 
 
@@ -87,146 +64,3 @@ class Interval:
 
     def contains(self, x: Rational) -> bool:
         return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearFn:
-    """A piecewise-linear function on a closed interval.
-
-    pieces[k] = (line, right_end): line is in force from the previous
-    piece's right end (the domain's lo for the first piece) up to
-    right_end.  Right ends strictly increase and the last equals
-    domain.hi, so breakpoints are exactly the non-final right ends.
-    Lower envelopes built here are continuous: adjacent pieces agree at
-    the shared breakpoint.
-    """
-
-    domain: Interval
-    pieces: Tuple[Tuple[LineOrInf, Fraction], ...]
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.pieces[0][0] is PLUS_INFINITY
-
-
-def _hull_of_lines(lines):
-    """Lower-envelope hull of finite (slope, intercept) pairs.
-
-    Returns (hull, cuts): hull lists the surviving lines in decreasing
-    slope order (the leftmost envelope piece has the steepest slope);
-    cuts[k] is the exact crossing between hull[k] and hull[k+1].  Cuts
-    strictly increase.  Works for int or Fraction coefficients; the only
-    divisions are the final cut values.
-    """
-    best = {}
-    for m, b in lines:
-        cur = best.get(m)
-        if cur is None or b < cur:
-            best[m] = b
-    order = sorted(best.items(), key=lambda mb: mb[0], reverse=True)
-    hull: list = []
-    for m, b in order:
-        while hull:
-            m_t, b_t = hull[-1]
-            if len(hull) == 1:
-                # the steepest line always keeps an unbounded left piece
-                break
-            m_p, b_p = hull[-2]
-            # pop the top iff crossing(top, new) <= crossing(prev, top):
-            #   (b - b_t)/(m_t - m) <= (b_t - b_p)/(m_p - m_t)
-            # both denominators are positive, so cross-multiplying is safe
-            if (b - b_t) * (m_p - m_t) <= (b_t - b_p) * (m_t - m):
-                hull.pop()
-            else:
-                break
-        hull.append((m, b))
-    cuts = [
-        _ratio(hull[k + 1][1] - hull[k][1], hull[k][0] - hull[k + 1][0])
-        for k in range(len(hull) - 1)
-    ]
-    return hull, cuts
-
-
-def _clip_hull(hull, cuts, lo, hi):
-    """Restrict a full-line hull to [lo, hi].
-
-    Returns (pieces, inner): pieces is the list of (slope, intercept)
-    pairs in force on the interval, left to right; inner lists the cuts
-    strictly inside (lo, hi), so len(inner) == len(pieces) - 1.
-    """
-    i = 0
-    while i < len(cuts) and cuts[i] <= lo:
-        i += 1
-    j = len(hull) - 1
-    while j > 0 and cuts[j - 1] >= hi:
-        j -= 1
-    if i > j:
-        raise InternalInvariantError("hull clip produced no pieces")
-    return hull[i : j + 1], cuts[i:j]
-
-
-def lower_envelope(lines: Sequence[LineOrInf], domain: Interval) -> PiecewiseLinearFn:
-    """Pointwise minimum of the lines, restricted to domain.
-
-    PLUS_INFINITY entries are discarded; if none remain, the result is
-    the constant PLUS_INFINITY function on the domain.
-    """
-    finite = [(f.slope, f.intercept) for f in lines if f is not PLUS_INFINITY]
-    if not finite:
-        return PiecewiseLinearFn(domain, ((PLUS_INFINITY, domain.hi),))
-    if domain.is_point:
-        x = domain.lo
-        m, b = min(finite, key=lambda mb: (mb[0] * x + mb[1], mb[0], mb[1]))
-        return PiecewiseLinearFn(domain, ((LinearFn(m, b), domain.hi),))
-    hull, cuts = _hull_of_lines(finite)
-    kept, inner = _clip_hull(hull, cuts, domain.lo, domain.hi)
-    pieces = [(LinearFn(*kept[k]), Fraction(inner[k])) for k in range(len(inner))]
-    pieces.append((LinearFn(*kept[-1]), domain.hi))
-    return PiecewiseLinearFn(domain, tuple(pieces))
-
-
-def breakpoints(f: PiecewiseLinearFn) -> List[Fraction]:
-    """Breakpoints strictly inside the domain, in increasing order."""
-    ends = [end for _, end in f.pieces[:-1]]
-    return [x for x in ends if f.domain.lo < x < f.domain.hi]
-
-
-def evaluate(f: PiecewiseLinearFn, x: Rational):
-    """Exact value of f at x; DomainError if x is outside the domain."""
-    if not f.domain.contains(x):
-        raise DomainError(f"{x} is outside the domain [{f.domain.lo}, {f.domain.hi}]")
-    for line, end in f.pieces:
-        if end >= x:
-            if line is PLUS_INFINITY:
-                return PLUS_INFINITY
-            return Fraction(line(x))
-    raise InternalInvariantError("piece right ends did not reach domain.hi")
-
-
-def restrict_to_line(f: PiecewiseLinearFn, r: Interval) -> LineOrInf:
-    """The single line that equals f throughout r.
-
-    r must lie inside f's domain and contain no breakpoint of f in its
-    interior; otherwise BreakpointInside is raised.  A zero-width r
-    sitting exactly on a breakpoint resolves to the piece on its left.
-    """
-    if r.lo < f.domain.lo or r.hi > f.domain.hi:
-        raise DomainError(
-            f"[{r.lo}, {r.hi}] is not inside the domain [{f.domain.lo}, {f.domain.hi}]"
-        )
-    for line, end in f.pieces:
-        if end >= r.hi:
-            return line
-        if end > r.lo:
-            raise BreakpointInside(
-                f"breakpoint at {end} lies strictly inside ({r.lo}, {r.hi})"
-            )
-    raise InternalInvariantError("piece right ends did not reach domain.hi")

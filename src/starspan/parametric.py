@@ -30,72 +30,15 @@ big-integer object arrays otherwise; both paths are exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InternalInvariantError
-from .lgraph import LambdaGraph, has_negative_cycle
-from .linfun import (
-    Interval,
-    LinearFn,
-    PLUS_INFINITY,
-    PiecewiseLinearFn,
-    Rational,
-    add,
-    breakpoints as fn_breakpoints,
-    lower_envelope,
-    restrict_to_line,
-)
+from .errors import InternalInvariantError
+from .linfun import Interval
 from .metric import MetricSpace, dilation_bounds, scaled_int_rows
-
-SearchInterval = Interval
-
-
-@dataclass(frozen=True)
-class HopMatrix:
-    """Parametric min-plus walk-weight matrix.
-
-    entries[u][v] is PLUS_INFINITY, a LinearFn, or a PiecewiseLinearFn on
-    valid_interval: the minimum weight over walks from u to v of at most
-    2**hop_exponent edges, for parameter values in valid_interval.
-    """
-
-    order: int
-    entries: Tuple[Tuple[object, ...], ...]
-    hop_exponent: int
-    valid_interval: Interval
-
-    def entry_value(self, u: int, v: int, x: Rational):
-        e = self.entries[u][v]
-        if e is PLUS_INFINITY:
-            return PLUS_INFINITY
-        if isinstance(e, PiecewiseLinearFn):
-            from .linfun import evaluate
-
-            return evaluate(e, x)
-        return Fraction(e(x))
-
-
-def initial_interval(g: LambdaGraph, m: MetricSpace) -> Interval:
-    """Bracket [1, 2*max_d/min_d] guaranteed to contain the answer."""
-    lo, hi = dilation_bounds(m)
-    return Interval(lo, hi)
-
-
-def initialize_d0(g: LambdaGraph, r: Interval) -> HopMatrix:
-    """Hop matrix for walks of at most one edge: zero diagonal, edge
-    weight functions where edges exist, PLUS_INFINITY elsewhere."""
-    nv = 2 * g.site_count
-    rows: List[List[object]] = [[PLUS_INFINITY] * nv for _ in range(nv)]
-    for v in range(nv):
-        rows[v][v] = LinearFn(0, 0)
-    for u, v, w in g.edges:
-        rows[u][v] = w
-    return HopMatrix(nv, tuple(map(tuple, rows)), 0, r)
 
 
 _INT64_VALUE_LIMIT = 1 << 58
@@ -267,70 +210,6 @@ def _resolve_pending(
         pend_u, pend_v = pend_u[keep], pend_v[keep]
 
 
-def _pack_fraction_matrix(d: HopMatrix):
-    """Clear denominators across all line coefficients: (mat_m, mat_b,
-    fin, scale) with slope = m/scale, intercept = b/scale."""
-    order = d.order
-    scale = 1
-    for row in d.entries:
-        for e in row:
-            if e is PLUS_INFINITY:
-                continue
-            if isinstance(e, PiecewiseLinearFn):
-                raise DomainError(
-                    "entries must be single lines; restrict the matrix first"
-                )
-            scale = math.lcm(
-                scale, Fraction(e.slope).denominator, Fraction(e.intercept).denominator
-            )
-    mat_m = np.zeros((order, order), dtype=object)
-    mat_b = np.zeros((order, order), dtype=object)
-    fin = np.zeros((order, order), dtype=bool)
-    for u in range(order):
-        for v in range(order):
-            e = d.entries[u][v]
-            if e is PLUS_INFINITY:
-                continue
-            fin[u, v] = True
-            mat_m[u, v] = int(Fraction(e.slope) * scale)
-            mat_b[u, v] = int(Fraction(e.intercept) * scale)
-    return mat_m, mat_b, fin, scale
-
-
-def _coeff(x: int, scale: int) -> Rational:
-    return x if scale == 1 else Fraction(x, scale)
-
-
-def square(d: HopMatrix) -> HopMatrix:
-    """Min-plus square: entry (u, v) becomes the lower envelope over w of
-    entries (u, w) + (w, v), doubling the hop exponent.
-
-    Requires every entry to be a single LinearFn or PLUS_INFINITY (true
-    for the initial matrix and after restriction).  Entries the
-    production screen resolves become lines; the rest get their full
-    envelope on the valid interval.
-    """
-    mat_m, mat_b, fin, scale = _pack_fraction_matrix(d)
-    out_m, out_b, out_fin, pend_u, pend_v = _square_int(mat_m, mat_b, fin, d.valid_interval)
-    pending = set(zip(pend_u.tolist(), pend_v.tolist()))
-    r = d.valid_interval
-    rows: List[List[object]] = []
-    for u in range(d.order):
-        row: List[object] = []
-        for v in range(d.order):
-            if not out_fin[u, v]:
-                row.append(PLUS_INFINITY)
-            elif (u, v) in pending:
-                lines = [add(d.entries[u][w], d.entries[w][v]) for w in range(d.order)]
-                f = lower_envelope(lines, r)
-                row.append(f.pieces[0][0] if len(f.pieces) == 1 else f)
-            else:
-                m, b = int(out_m[u, v]), int(out_b[u, v])
-                row.append(LinearFn(_coeff(m, scale), _coeff(b, scale)))
-        rows.append(row)
-    return HopMatrix(d.order, tuple(map(tuple, rows)), d.hop_exponent + 1, r)
-
-
 def _binary_search_interval(
     bps: List[Fraction], interval: Interval, probe: Callable[[Fraction], bool]
 ) -> Interval:
@@ -350,44 +229,6 @@ def _binary_search_interval(
         else:
             hi, hi_i = t, mid - 1
     return Interval(lo, hi)
-
-
-def narrow_interval(
-    g: LambdaGraph,
-    d: HopMatrix,
-    probe: Optional[Callable[[Fraction], bool]] = None,
-) -> Interval:
-    """Shrink d's interval so no entry has a breakpoint strictly inside.
-
-    Collects every interior breakpoint of d's piecewise entries and
-    binary-searches them with a negative-cycle probe (negative cycle at
-    t means the answer exceeds t).  The answer never leaves the bracket.
-    """
-    if probe is None:
-        probe = lambda t: has_negative_cycle(g, t) is not None
-    bps_set = set()
-    for row in d.entries:
-        for e in row:
-            if isinstance(e, PiecewiseLinearFn):
-                bps_set.update(fn_breakpoints(e))
-    if not bps_set:
-        return d.valid_interval
-    return _binary_search_interval(sorted(bps_set), d.valid_interval, probe)
-
-
-def restrict_hop(d: HopMatrix, r: Interval) -> HopMatrix:
-    """Replace each piecewise entry by its single line on r; the hop
-    exponent is unchanged and the valid interval becomes r."""
-    rows: List[List[object]] = []
-    for row in d.entries:
-        out: List[object] = []
-        for e in row:
-            if isinstance(e, PiecewiseLinearFn):
-                out.append(restrict_to_line(e, r))
-            else:
-                out.append(e)
-        rows.append(out)
-    return HopMatrix(d.order, tuple(map(tuple, rows)), d.hop_exponent, r)
 
 
 def _probe_negative_cycle(rows: List[List[int]], t: Fraction) -> bool:
@@ -454,7 +295,7 @@ class RunStats:
     final_interval: Interval
 
 
-def lambda_star_detailed(g: LambdaGraph, m: MetricSpace) -> Tuple[Fraction, RunStats]:
+def lambda_star_detailed(m: MetricSpace) -> Tuple[Fraction, RunStats]:
     """Exact optimal dilation plus run statistics.
 
     Runs exactly ceil(log2(2n)) squarings.  Internally the metric is
@@ -462,9 +303,8 @@ def lambda_star_detailed(g: LambdaGraph, m: MetricSpace) -> Tuple[Fraction, RunS
     coefficients, which scaling leaves unchanged, so the returned value
     is in the original units.
     """
-    n = g.site_count
-    nv = 2 * n
-    interval = initial_interval(g, m)
+    nv = 2 * m.n
+    interval = Interval(*dilation_bounds(m))
     rows, _ = scaled_int_rows(m.dist)
     mat_m, mat_b, fin = _d0_int(rows)
     iterations = (nv - 1).bit_length()
@@ -502,6 +342,6 @@ def lambda_star_detailed(g: LambdaGraph, m: MetricSpace) -> Tuple[Fraction, RunS
     return lam, RunStats(iterations, max_breaks, probes, interval)
 
 
-def lambda_star(g: LambdaGraph, m: MetricSpace) -> Fraction:
+def lambda_star(m: MetricSpace) -> Fraction:
     """Exact optimal star dilation of the metric space."""
-    return lambda_star_detailed(g, m)[0]
+    return lambda_star_detailed(m)[0]

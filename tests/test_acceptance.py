@@ -76,7 +76,7 @@ def test_criterion_1_oracle_agreement():
     for n, seed, model in SMALL_CASES:
         m = gen_random_metric(n, seed, model=model)
         g = build_lambda_graph(m)
-        got = lambda_star(g, m)
+        got = lambda_star(m)
         want = exact_lambda_by_cycles(g)
         if got != want:
             mismatches.append((n, seed, model, got, want))
@@ -133,7 +133,7 @@ def test_criterion_4_bisection_sandwich():
     for n, seed, model in MID_CASES:
         m = gen_random_metric(n, seed, model=model)
         g = build_lambda_graph(m)
-        exact = lambda_star(g, m)
+        exact = lambda_star(m)
         approx = bisect_lambda(g, m, tol)
         gap = abs(approx - exact)
         worst = max(worst, gap)

@@ -73,6 +73,15 @@ class TestEmbed:
         assert code == 2
         assert err.strip()
 
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path, two_point_file):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe0 1\n1 0\n")
+        for argv in (("embed", str(bad)), ("verify", two_point_file, str(bad))):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_metric_violation_exits_1_and_names_sites(self, capsys, tmp_path):
         p = tmp_path / "tri.txt"
         p.write_text(BAD_TRIANGLE)
@@ -181,6 +190,13 @@ class TestBench:
                        "-o", str(gen_path))[0] == 0
             _, out, _ = run(capsys, "lambda", str(gen_path))
             assert out.split()[0] == lam  # bench agrees with the solver
+
+    @pytest.mark.parametrize("flag", ["--sizes", "--seeds"])
+    def test_bad_integer_list_exits_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", flag, "4,x"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestOracle:

@@ -10,7 +10,6 @@ from starspan import (
     PathLengths,
     StarEmbedding,
     build_lambda_graph,
-    build_source_graph,
     embed,
     embed_detailed,
     gen_random_metric,
@@ -29,34 +28,6 @@ F = Fraction
 
 TWO_POINT = "0 1\n1 0"
 FOUR_CYCLE = "0 1 2 1\n1 0 1 2\n2 1 0 1\n1 2 1 0"
-
-
-class TestSourceGraph:
-    def test_two_point_shape(self):
-        m = parse_metric(TWO_POINT)
-        g = build_lambda_graph(m)
-        sg = build_source_graph(g, F(1))
-        assert sg.source == 4  # fifth vertex
-        assert len(sg.edges) == 8  # six graph edges plus two source edges
-        src_edges = [(u, v, w) for u, v, w in sg.edges if u == sg.source]
-        assert src_edges == [(4, 0, F(0)), (4, 1, F(0))]
-        # Over->Under edges carry lam*d = 1 at lam = 1.
-        assert (0, 3, F(1)) in sg.edges and (1, 2, F(1)) in sg.edges
-
-    def test_source_out_degree_is_n(self):
-        for n in (2, 3, 5):
-            m = gen_random_metric(n, 8) if n > 2 else parse_metric(TWO_POINT)
-            g = build_lambda_graph(m)
-            sg = build_source_graph(g, lambda_star(g, m))
-            outs = [v for u, v, _ in sg.edges if u == sg.source]
-            assert outs == list(range(n))  # exactly the Over vertices
-
-    def test_three_point_vertex_count(self):
-        m = gen_random_metric(3, 2)
-        g = build_lambda_graph(m)
-        sg = build_source_graph(g, lambda_star(g, m))
-        assert sg.source == 6  # vertices 0..6: seven in total
-        assert len(sg.edges) == 15 + 3
 
 
 class TestPathLengths:
@@ -79,14 +50,13 @@ class TestPathLengths:
         for _ in range(12):
             m = gen_random_metric(rng.randint(2, 6), rng.randint(0, 10 ** 6))
             g = build_lambda_graph(m)
-            lam = lambda_star(g, m)
+            lam = lambda_star(m)
             pl = source_path_lengths(g, lam)
-            sg = build_source_graph(g, lam)
             assert pl.l[pl.source] == 0
             for v in range(m.n):
                 assert pl.l[v] <= 0
-            for u, v, w in sg.edges:
-                assert pl.l[v] <= pl.l[u] + w
+            for u, v, w in g.edges:
+                assert pl.l[v] <= pl.l[u] + w(lam)
 
 
 class TestHubLengths:

@@ -1,33 +1,15 @@
-"""Lines, lower envelopes, and interval restriction."""
+"""Exact lines and closed intervals."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from starspan import (
-    PLUS_INFINITY,
-    BreakpointInside,
-    DomainError,
-    Interval,
-    LinearFn,
-    PiecewiseLinearFn,
-    add,
-    breakpoints,
-    evaluate,
-    lower_envelope,
-    restrict_to_line,
-)
-from helpers import rand_fraction, sample_points
+from starspan import DomainError, Interval, LinearFn, add
+from helpers import rand_fraction
 
 
 F = Fraction
-
-
-def env(lines, lo, hi):
-    return lower_envelope(lines, Interval(F(lo), F(hi)))
 
 
 class TestLinearFn:
@@ -45,179 +27,29 @@ class TestLinearFn:
         s = add(LinearFn(F(1), F(2)), LinearFn(F(3), F(-1)))
         assert s == LinearFn(F(4), F(1))
 
-    def test_add_absorbs_infinity(self):
-        f = LinearFn(F(1), F(0))
-        assert add(f, PLUS_INFINITY) is PLUS_INFINITY
-        assert add(PLUS_INFINITY, f) is PLUS_INFINITY
-        assert add(PLUS_INFINITY, PLUS_INFINITY) is PLUS_INFINITY
-
 
 class TestInterval:
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
             Interval(F(2), F(1))
 
-    def test_contains_and_width(self):
+    def test_contains(self):
         r = Interval(F(1), F(3))
         assert r.contains(F(1)) and r.contains(F(3)) and r.contains(F(2))
         assert not r.contains(F(4))
-        assert r.width == 2
-        assert Interval(F(1), F(1)).is_point
-
-
-class TestLowerEnvelope:
-    def test_two_lines_cross(self):
-        # min(2x, x + 1) on [0, 3]: the steep line wins left of x = 1.
-        e = env([LinearFn(F(2), F(0)), LinearFn(F(1), F(1))], 0, 3)
-        assert isinstance(e, PiecewiseLinearFn)
-        assert [p for p, _ in e.pieces] == [LinearFn(F(2), F(0)), LinearFn(F(1), F(1))]
-        assert breakpoints(e) == [F(1)]
-        assert evaluate(e, F(1)) == 2
-
-    def test_single_line(self):
-        e = env([LinearFn(F(1), F(1))], 0, 3)
-        assert breakpoints(e) == []
-        assert [p for p, _ in e.pieces] == [LinearFn(F(1), F(1))]
-
-    def test_dominated_line_dropped(self):
-        # 3x - 1 and x cross at 1/2; x + 1 lies above the other two
-        # everywhere on [0, 2] so it never contributes a piece.
-        lines = [LinearFn(F(3), F(-1)), LinearFn(F(1), F(0)), LinearFn(F(1), F(1))]
-        e = env(lines, 0, 2)
-        assert [p for p, _ in e.pieces] == [LinearFn(F(3), F(-1)), LinearFn(F(1), F(0))]
-        assert breakpoints(e) == [F(1, 2)]
-        for x in sample_points(0, 2, 100):
-            assert evaluate(e, x) == min(f(x) for f in lines)
-
-    def test_point_domain(self):
-        e = env([LinearFn(F(2), F(0)), LinearFn(F(1), F(1))], 1, 1)
-        assert breakpoints(e) == []
-        assert evaluate(e, F(1)) == 2
-
-    def test_all_infinite(self):
-        e = lower_envelope([PLUS_INFINITY, PLUS_INFINITY], Interval(F(0), F(1)))
-        assert e.is_infinite
-        assert evaluate(e, F(1, 2)) is PLUS_INFINITY
-
-    def test_infinite_lines_ignored_beside_finite(self):
-        e = env([PLUS_INFINITY, LinearFn(F(1), F(0))], 0, 2)
-        assert evaluate(e, F(2)) == 2
-
-    def test_duplicate_slopes(self):
-        # Parallel lines: only the lowest one can matter.
-        e = env([LinearFn(F(1), F(5)), LinearFn(F(1), F(2)), LinearFn(F(1), F(3))], 0, 9)
-        assert [p for p, _ in e.pieces] == [LinearFn(F(1), F(2))]
+        assert Interval(F(1), F(1)).contains(1)
 
 
 class TestEvaluate:
     def test_sample_values(self):
-        e = env([LinearFn(F(2), F(0)), LinearFn(F(1), F(1))], 0, 3)
-        assert evaluate(e, F(0)) == 0
-        assert evaluate(e, F(1)) == 2
-        assert evaluate(e, F(3)) == 4
-
-    def test_outside_domain(self):
-        e = env([LinearFn(F(1), F(0))], 0, 3)
-        with pytest.raises(DomainError):
-            evaluate(e, F(4))
+        f, g = LinearFn(F(2), F(0)), LinearFn(F(1), F(1))
+        assert [min(f(x), g(x)) for x in (F(0), F(1), F(3))] == [0, 2, 4]
 
     def test_exact_fractions(self):
-        e = env([LinearFn(F(1, 3), F(1, 7))], 0, 1)
-        assert evaluate(e, F(1, 2)) == F(1, 6) + F(1, 7)
-
-
-class TestRestrictToLine:
-    def setup_method(self):
-        self.e = env([LinearFn(F(2), F(0)), LinearFn(F(1), F(1))], 0, 3)
-
-    def test_right_of_breakpoint(self):
-        assert restrict_to_line(self.e, Interval(F(2), F(3))) == LinearFn(F(1), F(1))
-
-    def test_left_of_breakpoint(self):
-        assert restrict_to_line(self.e, Interval(F(0), F(1))) == LinearFn(F(2), F(0))
-
-    def test_breakpoint_interior_rejected(self):
-        with pytest.raises(BreakpointInside):
-            restrict_to_line(self.e, Interval(F(1, 2), F(3, 2)))
-
-    def test_breakpoint_at_endpoint_ok(self):
-        assert restrict_to_line(self.e, Interval(F(1), F(2))) == LinearFn(F(1), F(1))
-
-    def test_interval_outside_domain(self):
-        with pytest.raises(DomainError):
-            restrict_to_line(self.e, Interval(F(2), F(4)))
-
-
-def test_envelope_matches_pointwise_minimum():
-    """Randomized soundness: envelope value == direct min, exactly.
-
-    1000 random sets of at most 16 lines, 50 rational sample points each,
-    compared with Fraction arithmetic so any discrepancy is a real bug.
-    """
-    rng = random.Random(20260819)
-    for trial in range(1000):
-        k = rng.randint(1, 16)
-        lines = [
-            LinearFn(rand_fraction(rng, 0, 8), rand_fraction(rng, -5, 5))
-            for _ in range(k)
-        ]
-        lo = rand_fraction(rng, 0, 4)
-        hi = lo + rand_fraction(rng, 0, 4)
-        e = lower_envelope(lines, Interval(lo, hi))
-        assert len(breakpoints(e)) <= k - 1, f"trial {trial}: too many breakpoints"
-        for _ in range(50):
-            x = rand_fraction(rng, lo, hi)
-            assert evaluate(e, x) == min(f(x) for f in lines), f"trial {trial} at {x}"
-
-
-def test_envelope_breakpoints_sorted_and_interior():
-    rng = random.Random(7)
-    for _ in range(200):
-        k = rng.randint(2, 12)
-        lines = [
-            LinearFn(rand_fraction(rng, 0, 6), rand_fraction(rng, -4, 4))
-            for _ in range(k)
-        ]
-        e = lower_envelope(lines, Interval(F(0), F(3)))
-        bps = breakpoints(e)
-        assert bps == sorted(bps)
-        assert len(set(bps)) == len(bps)
-        for b in bps:
-            assert F(0) < b < F(3)
-
-
-def test_envelope_continuity_at_breakpoints():
-    """Adjacent pieces agree exactly where they meet."""
-    rng = random.Random(11)
-    for _ in range(300):
-        k = rng.randint(2, 10)
-        lines = [
-            LinearFn(rand_fraction(rng, 0, 9), rand_fraction(rng, -6, 6))
-            for _ in range(k)
-        ]
-        e = lower_envelope(lines, Interval(F(0), F(5)))
-        pieces = e.pieces
-        for (f, cut), (g, _) in zip(pieces, pieces[1:]):
-            assert f(cut) == g(cut)
-
-
-small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-
-
-@given(
-    coeffs=st.lists(st.tuples(small_fractions, small_fractions), min_size=1, max_size=10),
-    ends=st.tuples(small_fractions, small_fractions),
-    t=st.fractions(min_value=0, max_value=1, max_denominator=64),
-)
-@settings(deadline=None, max_examples=150)
-def test_envelope_below_every_line_property(coeffs, ends, t):
-    lo, hi = min(ends), max(ends)
-    lines = [LinearFn(m_, b_) for m_, b_ in coeffs]
-    e = lower_envelope(lines, Interval(lo, hi))
-    x = lo + (hi - lo) * t  # arbitrary point of the domain
-    val = evaluate(e, x)
-    assert all(val <= f(x) for f in lines)
-    assert any(val == f(x) for f in lines)
+        assert LinearFn(F(1, 3), F(1, 7))(F(1, 2)) == F(1, 6) + F(1, 7)
+        # int coefficients never divide into a float
+        root = LinearFn(3, 1).root()
+        assert isinstance(root, Fraction) and root == F(-1, 3)
 
 
 def test_add_is_associative_and_commutative():
@@ -225,7 +57,7 @@ def test_add_is_associative_and_commutative():
     fns = [
         LinearFn(rand_fraction(rng, 0, 5), rand_fraction(rng, -5, 5))
         for _ in range(20)
-    ] + [PLUS_INFINITY]
+    ]
     for _ in range(200):
         f, g, h = rng.choice(fns), rng.choice(fns), rng.choice(fns)
         assert add(f, g) == add(g, f)

@@ -1,36 +1,30 @@
-"""The squaring engine: hop matrices, narrowing, exact lambda*."""
+"""The squaring engine: the integer hop matrix, narrowing, exact lambda*."""
 
+import functools
 import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starspan import (
-    PLUS_INFINITY,
-    BreakpointInside,
     DomainError,
-    HopMatrix,
     Interval,
-    LinearFn,
     MetricSpace,
     MetricViolation,
     build_lambda_graph,
+    dilation_bounds,
     gen_random_metric,
     has_negative_cycle,
-    initial_interval,
-    initialize_d0,
     lambda_star,
     lambda_star_detailed,
-    lower_envelope,
-    narrow_interval,
     parse_metric,
-    restrict_hop,
-    square,
 )
 from starspan import parametric
+from starspan.metric import scaled_int_rows
 from starspan.oracle import exact_lambda_by_cycles
 from helpers import min_walk_weights, sample_points
 
@@ -42,88 +36,105 @@ FOUR_CYCLE = "0 1 2 1\n1 0 1 2\n2 1 0 1\n1 2 1 0"
 EQUILATERAL3 = "0 1 1\n1 0 1\n1 1 0"
 
 
-def graph_of(text):
-    m = parse_metric(text)
-    return m, build_lambda_graph(m)
+def squarings(m, count):
+    """Mirror lambda_star_detailed's loop for count squarings, yielding
+    (hop exponent, mat_m, mat_b, fin, interval, scale, crossing rounds)
+    after each one.
+
+    Entry (u, v) is the line (mat_m*x + mat_b)/scale where fin holds,
+    including the entries the screen left to the crossing rounds.
+    """
+    rows, scale = scaled_int_rows(m.dist)
+    interval = Interval(*dilation_bounds(m))
+    mat_m, mat_b, fin = parametric._d0_int(rows)
+    probe = functools.partial(parametric._probe_negative_cycle, rows)
+    for k in range(1, count + 1):
+        out_m, out_b, out_fin, pend_u, pend_v = parametric._square_int(mat_m, mat_b, fin, interval)
+        interval, rounds = parametric._resolve_pending(
+            mat_m, mat_b, fin, out_m, out_b, pend_u, pend_v, interval, probe
+        )
+        mat_m, mat_b, fin = out_m, out_b, out_fin
+        yield k, mat_m, mat_b, fin, interval, scale, rounds
+
+
+def assert_entries_are_walks(g, mat_m, mat_b, fin, scale, interval, max_edges):
+    """Every entry equals the minimum walk weight with at most max_edges
+    edges at 20 points of interval; infinite exactly where no walk is."""
+    order = len(fin)
+    for x in sample_points(interval.lo, interval.hi, 19):
+        walks = min_walk_weights(g, x, max_edges)
+        for u in range(order):
+            for v in range(order):
+                want = walks[(u, v)]
+                assert bool(fin[u, v]) == (want is not None), (u, v, x)
+                if want is not None:
+                    got = F(int(mat_m[u, v]) * x + int(mat_b[u, v])) / scale
+                    assert got == want, (g.labels, max_edges, u, v, x)
 
 
 class TestInitialInterval:
     def test_canonical_instances(self):
+        # the solver's starting bracket [1, 2*max/min]
         for text, hi in ((TWO_POINT, 2), (FOUR_CYCLE, 4), (EQUILATERAL3, 2)):
-            m, g = graph_of(text)
-            r = initial_interval(g, m)
+            m = parse_metric(text)
+            r = Interval(*dilation_bounds(m))
             assert r == Interval(F(1), F(hi))
+            _, stats = lambda_star_detailed(m)
+            assert r.lo <= stats.final_interval.lo <= stats.final_interval.hi <= r.hi
 
 
 class TestInitializeD0:
     def test_two_point_entries(self):
-        m, g = graph_of(TWO_POINT)
-        d = initialize_d0(g, initial_interval(g, m))
-        assert d.order == 4 and d.hop_exponent == 0
-        INF = PLUS_INFINITY
-        zero = LinearFn(F(0), F(0))
-        lam1 = LinearFn(F(1), F(0))
-        expected = (
-            (zero, INF, INF, lam1),
-            (INF, zero, lam1, INF),
-            (zero, LinearFn(F(0), F(-1)), zero, INF),
-            (LinearFn(F(0), F(-1)), zero, INF, zero),
-        )
-        assert d.entries == expected
+        mat_m, mat_b, fin = parametric._d0_int([[0, 1], [1, 0]])
+        # vertices over(0), over(1), under(0), under(1)
+        assert mat_m.tolist() == [[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        assert mat_b.tolist() == [[0, 0, 0, 0], [0, 0, 0, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+        assert fin.tolist() == [
+            [True, False, False, True],
+            [False, True, True, False],
+            [True, True, True, False],
+            [True, True, False, True],
+        ]
 
     def test_matches_one_edge_walks(self):
         rng = random.Random(3)
-        for _ in range(5):
-            m = gen_random_metric(rng.randint(2, 4), rng.randint(0, 10 ** 6))
+        metrics = [parse_metric("0 1/2 2/3\n1/2 0 1/3\n2/3 1/3 0")] + [
+            gen_random_metric(rng.randint(2, 4), rng.randint(0, 10 ** 6)) for _ in range(5)
+        ]
+        for m in metrics:
             g = build_lambda_graph(m)
-            r = initial_interval(g, m)
-            d = initialize_d0(g, r)
-            for x in sample_points(r.lo, r.hi, 7):
-                walks = min_walk_weights(g, x, 1)
-                for u in range(d.order):
-                    for v in range(d.order):
-                        got = d.entry_value(u, v, x)
-                        want = walks[(u, v)]
-                        assert (got is PLUS_INFINITY) == (want is None)
-                        if want is not None:
-                            assert got == want
+            rows, scale = scaled_int_rows(m.dist)
+            mat_m, mat_b, fin = parametric._d0_int(rows)
+            r = Interval(*dilation_bounds(m))
+            assert_entries_are_walks(g, mat_m, mat_b, fin, scale, r, 1)
 
 
 class TestSquare:
     def test_identity_fixed_point(self):
-        INF = PLUS_INFINITY
-        zero = LinearFn(F(0), F(0))
-        rows = tuple(
-            tuple(zero if i == j else INF for j in range(3)) for i in range(3)
+        zeros = np.zeros((3, 3), dtype=object)
+        fin = np.eye(3, dtype=bool)
+        out_m, out_b, out_fin, pend_u, pend_v = parametric._square_int(
+            zeros, zeros, fin, Interval(F(1), F(2))
         )
-        d = HopMatrix(3, rows, 0, Interval(F(1), F(2)))
-        s = square(d)
-        assert s.entries == rows
-        assert s.hop_exponent == 1
-        assert s.valid_interval == d.valid_interval
+        assert out_m.tolist() == out_b.tolist() == zeros.tolist()
+        assert (out_fin == fin).all()
+        assert len(pend_u) == len(pend_v) == 0
 
     def test_two_point_diagonal_stays_zero(self):
-        # (Over(a), Over(a)) after one squaring is min(0, lam - 1),
-        # which on [1, 2] is identically 0: a single line, no pieces.
-        m, g = graph_of(TWO_POINT)
-        d1 = square(initialize_d0(g, initial_interval(g, m)))
-        assert d1.entries[0][0] == LinearFn(0, 0)
-        for x in (F(1), F(3, 2), F(2)):
-            assert d1.entry_value(0, 0, x) == 0 == min(0, x - 1)
-
-    def test_rejects_piecewise_input(self):
-        pw = lower_envelope(
-            [LinearFn(F(2), F(0)), LinearFn(F(1), F(3, 2))], Interval(F(1), F(2))
+        # (over(a), over(a)) after one squaring is min(0, lam - 1), which
+        # on [1, 2] is identically 0: one chain is least at both ends.
+        mat_m, mat_b, fin = parametric._d0_int([[0, 1], [1, 0]])
+        out_m, out_b, out_fin, pend_u, _ = parametric._square_int(
+            mat_m, mat_b, fin, Interval(F(1), F(2))
         )
-        rows = ((pw, LinearFn(F(0), F(0))), (LinearFn(F(0), F(0)), LinearFn(F(0), F(0))))
-        d = HopMatrix(2, rows, 1, Interval(F(1), F(2)))
-        with pytest.raises(DomainError):
-            square(d)
+        assert out_fin[0, 0] and 0 not in pend_u.tolist()
+        assert out_m[0, 0] == 0 and out_b[0, 0] == 0
 
     def test_matches_bounded_walks_through_three_squarings(self):
-        """Mirror the engine loop with public ops and compare every
-        entry against the exact walk DP at 20 sampled lam values per
-        iteration. Covers squaring, narrowing, and restriction at once.
+        """Run the production squaring loop and compare every entry,
+        pending ones included, against the exact walk DP at 20 sampled
+        lam values after each squaring: the screen, the lines the
+        crossing rounds write and the narrowing are covered at once.
         """
         rng = random.Random(29)
         texts = [TWO_POINT, FOUR_CYCLE]
@@ -131,123 +142,126 @@ class TestSquare:
             gen_random_metric(rng.randint(3, 4), rng.randint(0, 10 ** 6))
             for _ in range(4)
         ]
+        # an entry of this one stays open after its first crossing round
+        metrics.append(gen_random_metric(4, 72))
+        most_rounds = 0
         for m in metrics:
             g = build_lambda_graph(m)
-            r = initial_interval(g, m)
-            d = initialize_d0(g, r)
-            for _ in range(3):
-                d = square(d)
-                r = narrow_interval(g, d)
-                d = restrict_hop(d, r)
-                cap = 2 ** d.hop_exponent
-                for x in sample_points(r.lo, r.hi, 19):
-                    walks = min_walk_weights(g, x, cap)
-                    for u in range(d.order):
-                        for v in range(d.order):
-                            got = d.entry_value(u, v, x)
-                            want = walks[(u, v)]
-                            assert (got is PLUS_INFINITY) == (want is None)
-                            if want is not None:
-                                assert got == want, (m.labels, u, v, x)
+            for k, mat_m, mat_b, fin, r, scale, rounds in squarings(m, 3):
+                assert_entries_are_walks(g, mat_m, mat_b, fin, scale, r, 2 ** k)
+                most_rounds = max(most_rounds, rounds)
+        assert most_rounds >= 2
 
 
 class TestNarrowInterval:
     def test_no_breakpoints_leaves_interval_alone(self):
-        m, g = graph_of(TWO_POINT)
-        d1 = square(initialize_d0(g, initial_interval(g, m)))
         calls = []
 
         def probe(x):
             calls.append(x)
             return False
 
-        assert narrow_interval(g, d1, probe) == d1.valid_interval
-        assert calls == []  # nothing to probe without breakpoints
+        r = Interval(F(1), F(2))
+        assert parametric._binary_search_interval([], r, probe) == r
+        # a squaring the screen resolves completely makes no probe either
+        mat_m, mat_b, fin = parametric._d0_int([[0, 1], [1, 0]])
+        out_m, out_b, _, pend_u, pend_v = parametric._square_int(mat_m, mat_b, fin, r)
+        assert len(pend_u) == 0
+        got = parametric._resolve_pending(mat_m, mat_b, fin, out_m, out_b, pend_u, pend_v, r, probe)
+        assert got == (r, 0)
+        assert calls == []
 
     def test_binary_search_brackets_threshold(self):
-        # Hand-built matrix whose entries break at 5/4, 3/2, 7/4; a fake
-        # probe that says "negative below 3/2" must narrow to [5/4, 3/2].
-        dom = Interval(F(1), F(2))
-
-        def crossing(b):
-            return lower_envelope([LinearFn(F(2), F(0)), LinearFn(F(1), b)], dom)
-
-        rows = (
-            (crossing(F(5, 4)), crossing(F(3, 2))),
-            (crossing(F(7, 4)), LinearFn(F(0), F(0))),
-        )
-        d = HopMatrix(2, rows, 1, dom)
-        _, g = graph_of(TWO_POINT)  # unused by the injected probe
+        # Cuts at 5/4, 3/2, 7/4 and a fake probe that says "negative
+        # below 3/2" must narrow [1, 2] to [5/4, 3/2].
         calls = []
 
         def probe(x):
             calls.append(x)
             return x < F(3, 2)
 
-        r = narrow_interval(g, d, probe)
+        cuts = [F(5, 4), F(3, 2), F(7, 4)]
+        r = parametric._binary_search_interval(cuts, Interval(F(1), F(2)), probe)
         assert r == Interval(F(5, 4), F(3, 2))
-        assert set(calls) <= {F(5, 4), F(3, 2), F(7, 4)}
+        assert set(calls) <= set(cuts)
         assert len(calls) <= 2  # binary search over three candidates
 
     def test_default_probe_keeps_lambda_star_inside(self):
         rng = random.Random(41)
         for _ in range(8):
             m = gen_random_metric(rng.randint(3, 5), rng.randint(0, 10 ** 6))
-            g = build_lambda_graph(m)
-            star = exact_lambda_by_cycles(g)
-            d = initialize_d0(g, initial_interval(g, m))
-            r = d.valid_interval
-            for _ in range(3):
-                d = square(d)
-                r = narrow_interval(g, d)
-                assert r.lo <= star <= r.hi
-                d = restrict_hop(d, r)
+            star = exact_lambda_by_cycles(build_lambda_graph(m))
+            count = (2 * m.n - 1).bit_length()
+            for *_, r, _, _ in squarings(m, count):
+                assert r.contains(star)
+
+
+def crossing_pair():
+    """A 2-site hop matrix whose squaring leaves only entry (0, 0) to the
+    crossing rounds: its chains are 4x (through 0) and 2x + 3 (through 1),
+    which cross at 3/2 inside [1, 2]."""
+    mat_m = np.array([[2, 1], [1, 0]], dtype=object)
+    mat_b = np.array([[0, 1], [2, 0]], dtype=object)
+    fin = np.ones((2, 2), dtype=bool)
+    r = Interval(F(1), F(2))
+    out_m, out_b, _, pend_u, pend_v = parametric._square_int(mat_m, mat_b, fin, r)
+    assert list(zip(pend_u.tolist(), pend_v.tolist())) == [(0, 0)]
+    return mat_m, mat_b, fin, out_m, out_b, pend_u, pend_v, r
 
 
 class TestRestrictHop:
-    def setup_method(self):
-        dom = Interval(F(1), F(2))
-        pw = lower_envelope(
-            [LinearFn(F(2), F(0)), LinearFn(F(1), F(3, 2))], dom
-        )  # breakpoint at 3/2
-        line = LinearFn(F(0), F(0))
-        self.d = HopMatrix(2, ((pw, line), (line, line)), 1, dom)
+    """The crossing rounds leave every pending entry a single line on the
+    narrowed bracket."""
+
+    def resolve(self, above):
+        mat_m, mat_b, fin, out_m, out_b, pend_u, pend_v, r = crossing_pair()
+        r, rounds = parametric._resolve_pending(
+            mat_m, mat_b, fin, out_m, out_b, pend_u, pend_v, r, lambda t: above
+        )
+        assert rounds == 1
+        return r, (out_m[0, 0], out_b[0, 0])
 
     def test_restricts_to_single_lines(self):
-        r = restrict_hop(self.d, Interval(F(7, 4), F(2)))
-        assert r.entries[0][0] == LinearFn(F(1), F(3, 2))
-        assert r.valid_interval == Interval(F(7, 4), F(2))
-        r2 = restrict_hop(self.d, Interval(F(1), F(5, 4)))
-        assert r2.entries[0][0] == LinearFn(F(2), F(0))
+        assert self.resolve(True) == (Interval(F(3, 2), F(2)), (2, 3))
+        assert self.resolve(False) == (Interval(F(1), F(3, 2)), (4, 0))
 
     def test_interior_breakpoint_rejected(self):
-        with pytest.raises(BreakpointInside):
-            restrict_hop(self.d, Interval(F(5, 4), F(7, 4)))
+        # the crossing at 3/2 ends up at an end of the bracket, never
+        # inside it, so the written line is least over the whole bracket
+        chains = [(4, 0), (2, 3)]
+        for above in (True, False):
+            r, (m, b) = self.resolve(above)
+            assert not r.lo < F(3, 2) < r.hi
+            for x in (r.lo, r.hi):
+                assert m * x + b == min(cm * x + cb for cm, cb in chains)
 
     def test_must_be_subinterval(self):
-        with pytest.raises(DomainError):
-            restrict_hop(self.d, Interval(F(0), F(3)))
+        rng = random.Random(43)
+        for _ in range(6):
+            m = gen_random_metric(rng.randint(3, 5), rng.randint(0, 10 ** 6))
+            prev = Interval(*dilation_bounds(m))
+            for *_, r, _, _ in squarings(m, (2 * m.n - 1).bit_length()):
+                assert prev.lo <= r.lo <= r.hi <= prev.hi
+                prev = r
 
 
 class TestLambdaStar:
     def test_canonical_values(self):
         for text, want in ((TWO_POINT, F(1)), (FOUR_CYCLE, F(2)), (EQUILATERAL3, F(1))):
-            m, g = graph_of(text)
-            assert lambda_star(g, m) == want
+            assert lambda_star(parse_metric(text)) == want
 
     def test_three_point_is_always_one(self):
         rng = random.Random(53)
         for _ in range(100):
             m = gen_random_metric(3, rng.randint(0, 10 ** 9))
-            g = build_lambda_graph(m)
-            assert lambda_star(g, m) == 1
+            assert lambda_star(m) == 1
 
     def test_agrees_with_cycle_enumeration(self):
         rng = random.Random(59)
         for _ in range(20):
             m = gen_random_metric(rng.randint(4, 6), rng.randint(0, 10 ** 9))
             g = build_lambda_graph(m)
-            assert lambda_star(g, m) == exact_lambda_by_cycles(g)
+            assert lambda_star(m) == exact_lambda_by_cycles(g)
 
     def test_probe_certificates_around_answer(self):
         rng = random.Random(67)
@@ -255,7 +269,7 @@ class TestLambdaStar:
         for _ in range(10):
             m = gen_random_metric(rng.randint(4, 6), rng.randint(0, 10 ** 9))
             g = build_lambda_graph(m)
-            star = lambda_star(g, m)
+            star = lambda_star(m)
             assert has_negative_cycle(g, star) is None
             if star > 1:
                 for k in range(10):
@@ -267,16 +281,14 @@ class TestLambdaStar:
     def test_iteration_count_and_stats(self):
         for n in (2, 3, 5, 8, 13):
             m = gen_random_metric(n, 4) if n > 2 else parse_metric(TWO_POINT)
-            g = build_lambda_graph(m)
-            star, stats = lambda_star_detailed(g, m)
+            star, stats = lambda_star_detailed(m)
             assert stats.iterations == (2 * n - 1).bit_length()
             assert stats.max_breakpoints <= 2 * n - 1
             assert stats.final_interval.contains(star)
 
     def test_deterministic(self):
         m = gen_random_metric(7, 99)
-        g = build_lambda_graph(m)
-        assert lambda_star_detailed(g, m) == lambda_star_detailed(g, m)
+        assert lambda_star_detailed(m) == lambda_star_detailed(m)
 
     def test_exact_with_huge_denominators(self):
         # Six distinct ~2^31 primes as denominators force the scaled
@@ -292,7 +304,7 @@ class TestLambdaStar:
         text = "\n".join(" ".join(str(x) for x in row) for row in rows)
         m = parse_metric(text)
         g = build_lambda_graph(m)
-        assert lambda_star(g, m) == exact_lambda_by_cycles(g)
+        assert lambda_star(m) == exact_lambda_by_cycles(g)
 
     def test_object_dtype_path_matches(self, monkeypatch):
         # Shrink the int64 certification limit so every squaring takes
@@ -302,10 +314,14 @@ class TestLambdaStar:
             gen_random_metric(rng.randint(3, 5), rng.randint(0, 10 ** 6))
             for _ in range(5)
         ]
-        want = [lambda_star(build_lambda_graph(m), m) for m in cases]
+        want = [lambda_star(m) for m in cases]
         monkeypatch.setattr(parametric, "_INT64_VALUE_LIMIT", 1)
-        got = [lambda_star(build_lambda_graph(m), m) for m in cases]
+        got = [lambda_star(m) for m in cases]
         assert got == want
+
+    def test_rejects_single_site(self):
+        with pytest.raises(DomainError):
+            lambda_star(parse_metric("0"))
 
 
 # Large primes as denominators: clearing them scales the metric far past
@@ -343,9 +359,9 @@ class TestAdversarial:
     def test_matches_cycle_enumeration_on_both_dtype_paths(self, m):
         g = build_lambda_graph(m)
         want = exact_lambda_by_cycles(g)
-        star, stats = lambda_star_detailed(g, m)
+        star, stats = lambda_star_detailed(m)
         assert star == want
         assert stats.final_interval.contains(star)
         assert stats.max_breakpoints <= 2 * m.n - 1
         with mock.patch.object(parametric, "_INT64_VALUE_LIMIT", 1):
-            assert lambda_star_detailed(g, m) == (star, stats)
+            assert lambda_star_detailed(m) == (star, stats)
