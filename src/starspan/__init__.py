@@ -15,7 +15,6 @@ from .errors import (
     ParseError,
     SizeError,
     StarspanError,
-    UnreachableError,
 )
 from .extract import (
     PathLengths,
@@ -30,7 +29,6 @@ from .lgraph import (
     build_lambda_graph,
     has_negative_cycle,
     over_vertex,
-    sssp_lengths,
     under_vertex,
     vertex_name,
     vertex_site,

@@ -36,10 +36,6 @@ class NegativeCycleError(StarspanError):
     """Shortest paths were requested on a graph with a negative cycle."""
 
 
-class UnreachableError(StarspanError):
-    """Some vertex cannot be reached from the shortest-path source."""
-
-
 class SizeError(StarspanError):
     """The instance is too large for an exhaustive oracle."""
 

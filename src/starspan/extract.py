@@ -10,25 +10,31 @@ hub edge of site v is
 The zero-weight edge under(v) -> over(v) forces l(over) <= l(under), so
 c_v >= 0, and the over->under / under->over edge inequalities turn into
 exactly the two pair constraints of a dilation-lam star.
+
+The lengths come from the solver's own Bellman-Ford kernel
+(parametric._relax) on the denominator-cleared distance matrix, so no
+graph of Fraction edges is built and no Fraction is touched until the
+final division.  Under vertices start at +infinity, not 0: a zero start
+would cap l(under) at 0 and give other lengths and other hubs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Tuple
 
-from .errors import InternalInvariantError
-from .lgraph import (
-    LambdaGraph,
-    build_lambda_graph,
-    over_vertex,
-    sssp_lengths,
-    under_vertex,
-)
+from .errors import DomainError, InternalInvariantError, NegativeCycleError
+
+# Not called here.  benchmark/tracing.py rebinds names in this module
+# to time each layer, build_lambda_graph among them, so it must stay
+# importable from here.
+from .lgraph import build_lambda_graph  # noqa: F401
+from .lgraph import over_vertex, under_vertex
 from .linfun import Rational
-from .metric import MetricSpace, StarEmbedding
-from .parametric import RunStats, lambda_star_detailed
+from .metric import MetricSpace, StarEmbedding, scaled_int_rows
+from .parametric import RunStats, _relax, lambda_star_detailed
 
 
 @dataclass(frozen=True)
@@ -39,16 +45,25 @@ class PathLengths:
     l: Dict[int, Fraction]
 
 
-def source_path_lengths(g: LambdaGraph, lam_star: Rational) -> PathLengths:
-    """Exact shortest path lengths in the source graph at lam_star.
+def source_path_lengths(m: MetricSpace, lam_star: Rational) -> PathLengths:
+    """Exact shortest path lengths from the super-source at lam_star.
 
-    Raises NegativeCycleError if lam_star is below the optimal dilation.
+    Vertex ids are those of the comparison graph: over(v) = v, under(v)
+    = n + v, and the super-source 2n, whose length is 0.  Raises
+    NegativeCycleError if lam_star is below the optimal dilation.
     """
-    n = g.site_count
-    src = 2 * n
-    extra = [(src, over_vertex(v, n), 0) for v in range(n)]
-    lengths = sssp_lengths(g, lam_star, src, extra)
-    return PathLengths(src, lengths)
+    n = m.n
+    if n < 2:
+        raise DomainError("need at least two sites")
+    lam = Fraction(lam_star)
+    rows, scale = scaled_int_rows(m.dist)
+    lengths = _relax(rows, lam)
+    if lengths is None:
+        raise NegativeCycleError(f"negative cycle at lam = {lam}")
+    unit = lam.denominator * scale
+    l = {v: Fraction(int(x), unit) for v, x in enumerate(chain(*lengths))}
+    l[2 * n] = Fraction(0)
+    return PathLengths(2 * n, l)
 
 
 def hub_lengths(pl: PathLengths, n: int) -> List[Fraction]:
@@ -67,9 +82,8 @@ def hub_lengths(pl: PathLengths, n: int) -> List[Fraction]:
 
 def embed_detailed(m: MetricSpace) -> Tuple[StarEmbedding, RunStats]:
     """Optimal star embedding plus search statistics."""
-    g = build_lambda_graph(m)
     lam, stats = lambda_star_detailed(m)
-    pl = source_path_lengths(g, lam)
+    pl = source_path_lengths(m, lam)
     c = hub_lengths(pl, m.n)
     return StarEmbedding(m.labels, tuple(c), lam), stats
 

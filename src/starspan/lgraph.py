@@ -12,11 +12,17 @@ lam * M - B with M > 0; the cycle is negative exactly when lam < B / M.
 Hence the graph has some negative cycle iff lam is below the optimal star
 dilation, and at the optimum itself the graph is clean.  That equivalence
 is what the rest of the package searches over, and shortest paths from a
-zero-weight super-source at the optimum yield the hub edge lengths.
+zero-weight super-source at the optimum yield the hub edge lengths.  The
+solver and the hub extraction both run on the scaled distance matrix
+through one numpy Bellman-Ford kernel (parametric._relax) and never build
+this graph.
 
-Bellman-Ford here is exact: a probe value lam = p/q clears denominators
-once and then relaxes in plain integer arithmetic.  Relaxation sweeps run
-in a fixed sorted edge order, so everything is deterministic.
+Here the graph is explicit, for the oracle and the tests.
+has_negative_cycle is the independent pure-Python checker they compare
+the solver against: a probe value lam = p/q clears denominators once and
+then relaxes in plain integer arithmetic, sweeping a fixed sorted edge
+order, so everything is deterministic, and it returns a verified witness
+cycle.
 """
 
 from __future__ import annotations
@@ -26,12 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    DomainError,
-    InternalInvariantError,
-    NegativeCycleError,
-    UnreachableError,
-)
+from .errors import DomainError, InternalInvariantError
 from .linfun import LinearFn, Rational, add
 from .metric import MetricSpace
 
@@ -192,50 +193,3 @@ def has_negative_cycle(g: LambdaGraph, lam: Rational) -> Optional[CycleWitness]:
         if last < 0:
             raise InternalInvariantError("relaxation stabilized after detection")
     raise InternalInvariantError("negative cycle detected but no witness found")
-
-
-def sssp_lengths(
-    g: LambdaGraph,
-    lam: Rational,
-    source: int,
-    extra_edges: Sequence[Tuple[int, int, Rational]] = (),
-) -> Dict[int, Fraction]:
-    """Exact single-source shortest path lengths at parameter value lam.
-
-    extra_edges are constant-weight edges (u, v, w) merged with the
-    graph's edges; they may mention one extra vertex (the conventional
-    super-source id is 2n).  Raises NegativeCycleError if any negative
-    cycle is reachable, UnreachableError if some vertex gets no path.
-    """
-    lam = Fraction(lam)
-    nv = 2 * g.site_count
-    ext = [(u, v, Fraction(w)) for u, v, w in extra_edges]
-    for u, v, _ in ext:
-        if u < 0 or v < 0 or u > nv or v > nv:
-            raise DomainError(f"extra edge ({u},{v}) outside vertices 0..{nv}")
-    count = nv + 1 if (source == nv or any(u == nv or v == nv for u, v, _ in ext)) else nv
-    if not (0 <= source < count):
-        raise DomainError(f"source {source} is not a vertex")
-    exact = ext + [(u, v, e.slope * lam + e.intercept) for u, v, e in g.edges]
-    exact.sort(key=lambda e: (e[0], e[1]))
-    edges, scale = _scaled_edges(exact)
-    dist: List[Optional[int]] = [None] * count
-    dist[source] = 0
-    for rnd in range(1, count + 1):
-        changed = False
-        for u, v, w in edges:
-            du = dist[u]
-            if du is None:
-                continue
-            nd = du + w
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                changed = True
-        if not changed:
-            break
-    else:
-        raise NegativeCycleError(f"negative cycle reachable at lam = {lam}")
-    for v, dv in enumerate(dist):
-        if dv is None:
-            raise UnreachableError(f"vertex {v} unreachable from {source}")
-    return {v: Fraction(dv, scale) for v, dv in enumerate(dist)}

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,11 +53,8 @@ def scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]]
     Ratios of entries are unchanged, which is what every scale-free
     computation downstream relies on.
     """
-    scale = 1
-    for row in rows:
-        for v in row:
-            scale = math.lcm(scale, v.denominator)
-    out = [[int(v * scale) for v in row] for row in rows]
+    scale = math.lcm(*{v.denominator for row in rows for v in row})
+    out = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
     return out, scale
 
 

@@ -26,13 +26,20 @@ picks are repeated at the new ends.  Each round removes an envelope piece
 from every entry still pending, so no envelope is ever built.  A bound on
 every intermediate value picks int64 when provably safe and exact
 big-integer object arrays otherwise; both paths are exact.
+
+Every probe, and the hub extraction in extract, runs one Bellman-Ford
+kernel, _relax, on the same scaled matrix.  It stops as soon as a sweep
+changes nothing (clean: the shortest path lengths are returned) or the
+predecessor graph holds a cycle of exactly verified negative weight,
+which on a typical negative probe happens within a few sweeps rather
+than after all 2n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -231,13 +238,25 @@ def _binary_search_interval(
     return Interval(lo, hi)
 
 
-def _probe_negative_cycle(rows: List[List[int]], t: Fraction) -> bool:
-    """Exact negative-cycle test on the comparison graph of an integer
-    distance matrix at parameter t, vectorized over numpy rows.
+def _relax(rows: List[List[int]], t: Fraction) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Exact Bellman-Ford on the comparison graph of an integer distance
+    matrix at parameter t = p/q, from a super-source with a zero-weight
+    edge into every over vertex.
 
-    Relaxes over/under distance vectors simultaneously from an all-zero
-    start (a free super-source).  No change in a sweep means clean; a
-    change in every one of the |V| sweeps means a negative cycle.
+    Returns None when the graph has a negative cycle, else (d_over,
+    d_under): the shortest path lengths times q, in the units of rows.
+    For n >= 2 every vertex is reachable, so None answers the probe
+    "is the optimal dilation above t" exactly; for n = 1 the under
+    vertex is unreachable and keeps the +infinity sentinel.
+
+    Each sweep relaxes every edge at once and records, on each strict
+    improvement, the vertex that gave it.  A sweep with no improvement
+    means the lengths are final.  After each sweep the predecessor graph
+    is searched for a cycle, which counts as a negative cycle only once
+    its exact integer weight is summed and found below 0: the graph has
+    zero-weight cycles at the optimum, and one must never end a probe.
+    Failing that, an improvement in each of the 2n sweeps also proves a
+    negative cycle.
     """
     n = len(rows)
     p, q = t.numerator, t.denominator
@@ -245,18 +264,67 @@ def _probe_negative_cycle(rows: List[List[int]], t: Fraction) -> bool:
     bound = (2 * n + 2) * maxd * max(abs(p), q) + 1
     dtype, sent, _ = _plan_dtype(bound)
     mat = np.array(rows, dtype=dtype)
-    w_uo = -(mat * q)
-    w_ou = mat * p
+    w_uo = -(mat * q)  # under(s) -> over(t)
+    w_ou = mat * p  # over(s) -> under(t), s != t
     np.fill_diagonal(w_ou, sent)
     d_over = np.zeros(n, dtype=dtype) if dtype is not object else np.full(n, 0, dtype=object)
-    d_under = d_over.copy()
+    d_under = np.full(n, sent, dtype=dtype)
+    # pred[v] for v in 0..2n-1 is the vertex v's length came from; 2n is
+    # the super-source, which is its own predecessor.
+    pred = np.full(2 * n + 1, 2 * n)
+    cols = np.arange(n)
     for _ in range(2 * n):
-        n_over = np.minimum(d_over, (d_under[:, None] + w_uo).min(axis=0))
-        n_under = np.minimum(d_under, (d_over[:, None] + w_ou).min(axis=0))
-        if np.array_equal(n_over, d_over) and np.array_equal(n_under, d_under):
-            return False
-        d_over, d_under = n_over, n_under
-    return True
+        c_over = d_under[:, None] + w_uo
+        a_over = c_over.argmin(axis=0)
+        c_over = c_over[a_over, cols]
+        c_under = d_over[:, None] + w_ou
+        a_under = c_under.argmin(axis=0)
+        c_under = c_under[a_under, cols]
+        i_over = c_over < d_over
+        i_under = c_under < d_under
+        if not (i_over.any() or i_under.any()):
+            return d_over, d_under
+        d_over = np.where(i_over, c_over, d_over)
+        d_under = np.where(i_under, c_under, d_under)
+        pred[:n][i_over] = n + a_over[i_over]
+        pred[n : 2 * n][i_under] = a_under[i_under]
+        if _negative_pred_cycle(pred, w_uo, w_ou):
+            return None
+    return None
+
+
+def _negative_pred_cycle(pred: np.ndarray, w_uo: np.ndarray, w_ou: np.ndarray) -> bool:
+    """Whether the predecessor graph of _relax has a cycle of negative
+    exact weight.
+
+    Pointer doubling takes every vertex to its 2**k-th ancestor with
+    2**k >= 2n: the super-source for a vertex whose chain ends there,
+    a vertex on a cycle for every other.  Each cycle is then walked once.
+    """
+    n = len(w_uo)
+    src = 2 * n
+    anc = pred
+    for _ in range((src - 1).bit_length()):
+        anc = anc[anc]
+    ends = anc[:src]
+    on_cycle = ends[ends != src]
+    if not on_cycle.size:
+        return False
+    seen = set()
+    for x in np.unique(on_cycle).tolist():
+        if x in seen:
+            continue
+        total, v = 0, x
+        while True:
+            seen.add(v)
+            u = int(pred[v])
+            total += int(w_uo[u - n, v]) if v < n else int(w_ou[u, v - n])
+            v = u
+            if v == x:
+                break
+        if total < 0:
+            return True
+    return False
 
 
 def _d0_int(rows: List[List[int]]):
@@ -314,7 +382,7 @@ def lambda_star_detailed(m: MetricSpace) -> Tuple[Fraction, RunStats]:
     def probe(t: Fraction) -> bool:
         nonlocal probes
         probes += 1
-        return _probe_negative_cycle(rows, t)
+        return _relax(rows, t) is None
 
     for _ in range(iterations):
         out_m, out_b, out_fin, pend_u, pend_v = _square_int(mat_m, mat_b, fin, interval)
@@ -337,7 +405,7 @@ def lambda_star_detailed(m: MetricSpace) -> Tuple[Fraction, RunStats]:
                 lam = root
     if lam > interval.hi:
         raise InternalInvariantError("diagonal root escaped the bracket")
-    if _probe_negative_cycle(rows, lam):
+    if _relax(rows, lam) is None:
         raise InternalInvariantError("negative cycle remains at the computed answer")
     return lam, RunStats(iterations, max_breaks, probes, interval)
 

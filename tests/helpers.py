@@ -8,7 +8,13 @@ to believe by inspection.
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from starspan import LambdaGraph
+import pytest
+
+from starspan import LambdaGraph, MetricSpace
+
+# Parameter values for _INT64_VALUE_LIMIT: the default, and 1, which
+# forces every numpy kernel onto exact big-integer object arrays.
+DTYPE_PATHS = [pytest.param(None, id="int64"), pytest.param(1, id="object")]
 
 
 def rand_fraction(rng, lo, hi, den_max=10) -> Fraction:
@@ -18,6 +24,16 @@ def rand_fraction(rng, lo, hi, den_max=10) -> Fraction:
     span = (hi - lo) * den
     num = rng.randint(0, span.numerator // span.denominator)
     return lo + Fraction(num, den)
+
+
+def ones_twos_metric(rng, n) -> MetricSpace:
+    """n sites with every distance drawn from {1, 2}: always a metric,
+    and full of equal-weight paths and cycles."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(1, 2))
+    return MetricSpace(tuple(str(i) for i in range(n)), rows)
 
 
 def sample_points(lo, hi, k):
@@ -57,6 +73,36 @@ def min_walk_weights(
                     nxt[u][v] = cand
         best = nxt
     return {(u, v): best[u][v] for u in range(nv) for v in range(nv)}
+
+
+def reference_path_lengths(g: LambdaGraph, lam) -> Optional[Dict[int, Fraction]]:
+    """Shortest path lengths at lam from a super-source 2n with a
+    zero-weight edge into every over vertex; None when a negative cycle
+    is reachable.
+
+    Plain Bellman-Ford on exact Fractions over the explicit edge list,
+    sweeping in sorted edge order: |V| sweeps still changing something
+    means a negative cycle.
+    """
+    nv = 2 * g.site_count
+    src = nv
+    edges = sorted(
+        [(src, v, Fraction(0)) for v in range(g.site_count)]
+        + [(u, v, w) for (u, v), w in edge_weights_at(g, lam).items()]
+    )
+    dist: Dict[int, Fraction] = {src: Fraction(0)}
+    for _ in range(nv + 1):
+        changed = False
+        for u, v, w in edges:
+            if u not in dist:
+                continue
+            nd = dist[u] + w
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                changed = True
+        if not changed:
+            return dist
+    return None
 
 
 def triangle_ok_bruteforce(rows) -> bool:

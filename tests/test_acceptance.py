@@ -5,7 +5,6 @@ or is confirmed live against the independent enumeration oracle, so a
 regression in the engine cannot hide behind a stale constant.
 """
 
-import math
 import time
 from fractions import Fraction
 
@@ -188,7 +187,7 @@ def test_criterion_6_instrumentation(corpus):
             bad.append(("iterations", m.n, stats.iterations))
     ok = not bad
     detail = (
-        f"{len(corpus)} instances, max {max_breaks} breakpoints per envelope, "
+        f"{len(corpus)} instances, max {max_breaks} crossing rounds per squaring, "
         f"iterations always ceil(log2(2n))"
     )
     assert report(6, "instrumentation", ok, detail), bad[:5]

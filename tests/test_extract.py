@@ -21,7 +21,9 @@ from starspan import (
     star_dilation,
     verify_star,
 )
+from starspan import parametric
 from starspan.oracle import exact_lambda_by_cycles
+from helpers import DTYPE_PATHS, ones_twos_metric, reference_path_lengths
 
 
 F = Fraction
@@ -33,16 +35,14 @@ FOUR_CYCLE = "0 1 2 1\n1 0 1 2\n2 1 0 1\n1 2 1 0"
 class TestPathLengths:
     def test_two_point_values(self):
         m = parse_metric(TWO_POINT)
-        g = build_lambda_graph(m)
-        pl = source_path_lengths(g, F(1))
+        pl = source_path_lengths(m, F(1))
         assert pl.l == {0: F(0), 1: F(0), 2: F(1), 3: F(1), 4: F(0)}
         assert pl.l[pl.source] == 0
 
     def test_below_threshold_raises(self):
         m = parse_metric(FOUR_CYCLE)
-        g = build_lambda_graph(m)
         with pytest.raises(NegativeCycleError):
-            source_path_lengths(g, F(3, 2))
+            source_path_lengths(m, F(3, 2))
 
     def test_invariants_on_random_instances(self):
         """l(source) = 0, l(Over) <= 0, and no edge can still relax."""
@@ -51,12 +51,40 @@ class TestPathLengths:
             m = gen_random_metric(rng.randint(2, 6), rng.randint(0, 10 ** 6))
             g = build_lambda_graph(m)
             lam = lambda_star(m)
-            pl = source_path_lengths(g, lam)
+            pl = source_path_lengths(m, lam)
             assert pl.l[pl.source] == 0
             for v in range(m.n):
                 assert pl.l[v] <= 0
             for u, v, w in g.edges:
                 assert pl.l[v] <= pl.l[u] + w(lam)
+
+    @pytest.mark.parametrize("limit", DTYPE_PATHS)
+    def test_matches_reference_lengths(self, limit, monkeypatch):
+        """Equal to plain Fraction Bellman-Ford at lambda* (where
+        zero-weight cycles exist) and above it, on random and tie-heavy
+        {1, 2} instances, on both dtype paths; just below lambda* both
+        find a negative cycle."""
+        if limit is not None:
+            monkeypatch.setattr(parametric, "_INT64_VALUE_LIMIT", limit)
+        rng = random.Random(23)
+        below_checked = 0
+        for i in range(16):
+            n = rng.randint(2, 7)
+            if i % 2:
+                m = gen_random_metric(n, rng.randint(0, 10 ** 6))
+            else:
+                m = ones_twos_metric(rng, n)
+            g = build_lambda_graph(m)
+            star = lambda_star(m)
+            for lam in (star, star + F(1, 7), 2 * star):
+                assert source_path_lengths(m, lam).l == reference_path_lengths(g, lam)
+            if star > 1:
+                below = star - F(1, 10 ** 6)
+                assert reference_path_lengths(g, below) is None
+                with pytest.raises(NegativeCycleError):
+                    source_path_lengths(m, below)
+                below_checked += 1
+        assert below_checked > 0
 
 
 class TestHubLengths:
@@ -139,10 +167,10 @@ def test_clean_probe_means_feasible_at_that_lambda():
         if lam < 1:
             lam = 1 / lam
         if has_negative_cycle(g, lam) is None:
-            pl = source_path_lengths(g, lam)
+            pl = source_path_lengths(m, lam)
             c = hub_lengths(pl, m.n)
             s = StarEmbedding(m.labels, tuple(c), F(lam))
             assert verify_star(m, s).ok
         else:
             with pytest.raises(NegativeCycleError):
-                source_path_lengths(g, lam)
+                source_path_lengths(m, lam)

@@ -9,13 +9,12 @@ from starspan import (
     DomainError,
     LinearFn,
     NegativeCycleError,
-    UnreachableError,
     build_lambda_graph,
     gen_random_metric,
     has_negative_cycle,
     over_vertex,
     parse_metric,
-    sssp_lengths,
+    source_path_lengths,
     under_vertex,
     vertex_name,
     vertex_site,
@@ -171,26 +170,20 @@ class TestNegativeCycleProbe:
 
 class TestShortestPaths:
     def setup_method(self):
-        self.g = build_lambda_graph(parse_metric(TWO_POINT))
-        self.src = 4
-        self.zero_edges = ((4, 0, F(0)), (4, 1, F(0)))
+        self.m = parse_metric(TWO_POINT)
 
     def test_two_point_lengths(self):
-        l = sssp_lengths(self.g, F(1), self.src, self.zero_edges)
-        assert l == {0: F(0), 1: F(0), 2: F(1), 3: F(1), 4: F(0)}
+        pl = source_path_lengths(self.m, F(1))
+        assert pl.l == {0: F(0), 1: F(0), 2: F(1), 3: F(1), 4: F(0)}
 
     def test_monotone_in_lambda(self):
-        l1 = sssp_lengths(self.g, F(1), self.src, self.zero_edges)
-        l2 = sssp_lengths(self.g, F(2), self.src, self.zero_edges)
+        l1 = source_path_lengths(self.m, F(1)).l
+        l2 = source_path_lengths(self.m, F(2)).l
         assert all(l2[v] >= l1[v] for v in l1)
 
     def test_negative_cycle_raises(self):
         with pytest.raises(NegativeCycleError):
-            sssp_lengths(self.g, F(1, 2), self.src, self.zero_edges)
-
-    def test_unreachable_raises(self):
-        with pytest.raises(UnreachableError):
-            sssp_lengths(self.g, F(1), self.src)  # isolated source
+            source_path_lengths(self.m, F(1, 2))
 
     def test_lengths_are_stable(self):
         """No edge can relax any further at the returned lengths."""
@@ -199,15 +192,10 @@ class TestShortestPaths:
             m = gen_random_metric(rng.randint(2, 5), rng.randint(0, 10 ** 6))
             g = build_lambda_graph(m)
             n = m.n
-            src = 2 * n
-            extra = tuple((src, over_vertex(v, n), F(0)) for v in range(n))
             lam = exact_lambda_by_cycles(g) + F(rng.randint(0, 2), 3)
-            l = sssp_lengths(g, lam, src, extra)
+            pl = source_path_lengths(m, lam)
+            l = pl.l
             for u, v, fn in g.edges:
                 assert l[v] <= l[u] + fn(lam)
-            for u, v, wt in extra:
-                assert l[v] <= l[u] + wt
-
-    def test_bad_extra_edge_rejected(self):
-        with pytest.raises(DomainError):
-            sssp_lengths(self.g, F(1), self.src, ((4, 99, F(0)),))
+            for v in range(n):  # the zero-weight source edges
+                assert l[over_vertex(v, n)] <= l[pl.source]

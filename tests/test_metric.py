@@ -1,5 +1,6 @@
 """Finite metric spaces: validation, parsing, stars, generators."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -65,6 +66,22 @@ def test_scaled_int_rows_preserves_ratios():
     ints2, scale2 = scaled_int_rows([[F(0), F(3, 4), F(5, 6)]])
     assert scale2 == 12
     assert ints2 == [[0, 9, 10]]
+
+
+def test_scaled_int_rows_matches_per_entry_lcm():
+    """Same output as folding lcm over every entry and multiplying each
+    Fraction by the scale, on random rational rows."""
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        den_max = rng.choice((1, 10, 1000, 2 ** 40))
+        rows = [[F(rng.randint(0, 10 ** 6), rng.randint(1, den_max)) for _ in range(n)] for _ in range(n)]
+        scale = 1
+        for row in rows:
+            for v in row:
+                scale = math.lcm(scale, v.denominator)
+        want = [[int(v * scale) for v in row] for row in rows]
+        assert scaled_int_rows(rows) == (want, scale)
 
 
 class TestValidation:

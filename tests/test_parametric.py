@@ -1,6 +1,5 @@
 """The squaring engine: the integer hop matrix, narrowing, exact lambda*."""
 
-import functools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -26,7 +25,7 @@ from starspan import (
 from starspan import parametric
 from starspan.metric import scaled_int_rows
 from starspan.oracle import exact_lambda_by_cycles
-from helpers import min_walk_weights, sample_points
+from helpers import DTYPE_PATHS, min_walk_weights, ones_twos_metric, rand_fraction, sample_points
 
 
 F = Fraction
@@ -47,7 +46,10 @@ def squarings(m, count):
     rows, scale = scaled_int_rows(m.dist)
     interval = Interval(*dilation_bounds(m))
     mat_m, mat_b, fin = parametric._d0_int(rows)
-    probe = functools.partial(parametric._probe_negative_cycle, rows)
+
+    def probe(t):
+        return parametric._relax(rows, t) is None
+
     for k in range(1, count + 1):
         out_m, out_b, out_fin, pend_u, pend_v = parametric._square_int(mat_m, mat_b, fin, interval)
         interval, rounds = parametric._resolve_pending(
@@ -243,6 +245,36 @@ class TestRestrictHop:
             for *_, r, _, _ in squarings(m, (2 * m.n - 1).bit_length()):
                 assert prev.lo <= r.lo <= r.hi <= prev.hi
                 prev = r
+
+
+class TestRelax:
+    @pytest.mark.parametrize("limit", DTYPE_PATHS)
+    def test_probe_matches_has_negative_cycle(self, limit, monkeypatch):
+        """The kernel finds a negative cycle exactly where the pure-Python
+        checker does: at lambda*, lambda* +- 1/10**6 and random points of
+        the bracket, on random and tie-heavy {1, 2} instances, on both
+        dtype paths."""
+        if limit is not None:
+            monkeypatch.setattr(parametric, "_INT64_VALUE_LIMIT", limit)
+        rng = random.Random(71)
+        eps = F(1, 10 ** 6)
+        negatives = 0
+        for i in range(24):
+            n = rng.randint(2, 8)
+            if i % 3:
+                m = gen_random_metric(n, rng.randint(0, 10 ** 6))
+            else:
+                m = ones_twos_metric(rng, n)
+            g = build_lambda_graph(m)
+            rows, _ = scaled_int_rows(m.dist)
+            star = lambda_star(m)
+            lo, hi = dilation_bounds(m)
+            lams = [star, star - eps, star + eps] + [rand_fraction(rng, lo, hi, 1000) for _ in range(3)]
+            for lam in lams:
+                negative = parametric._relax(rows, lam) is None
+                assert negative == (has_negative_cycle(g, lam) is not None), (m.dist, lam)
+                negatives += negative
+        assert negatives > 0
 
 
 class TestLambdaStar:
