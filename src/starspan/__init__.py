@@ -26,17 +26,14 @@ from .extract import (
 from .lgraph import (
     CycleWitness,
     LambdaGraph,
+    LinearFn,
+    add,
     build_lambda_graph,
     has_negative_cycle,
     over_vertex,
     under_vertex,
     vertex_name,
     vertex_site,
-)
-from .linfun import (
-    Interval,
-    LinearFn,
-    add,
 )
 from .metric import (
     GENERATOR_MODELS,
@@ -62,6 +59,7 @@ from .oracle import (
     exact_lambda_by_cycles,
 )
 from .parametric import (
+    Interval,
     RunStats,
     lambda_star,
     lambda_star_detailed,

@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .errors import DomainError, MetricViolation, ParseError, SizeError, StarspanError
 from .extract import embed_detailed
-from .lgraph import build_lambda_graph
 from .metric import (
     MetricSpace,
     StarEmbedding,
@@ -68,7 +67,12 @@ def _exact_pair(x: Fraction) -> dict:
 
 
 def _embed_result(m: MetricSpace, s: StarEmbedding, wall: float) -> dict:
-    canon = metric_to_matrix_text(m)
+    try:
+        canon = metric_to_matrix_text(m)
+    except DomainError:
+        # Some label cannot appear in matrix text.  The JSON text starts
+        # with "{" and the matrix text with "labels:", so they never collide.
+        canon = metric_to_json_text(m)
     return {
         "schema": RESULT_SCHEMA,
         "lambda_star": _exact_pair(s.lambda_star),
@@ -180,16 +184,15 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     m = _load_metric(args.metric, args.format)
-    g = build_lambda_graph(m)
     if args.tol is None:
         if m.n > MAX_EXACT_SITES:
             raise SizeError(
                 f"exact enumeration handles at most {MAX_EXACT_SITES} sites; pass --tol"
             )
-        lam = exact_lambda_by_cycles(g)
+        lam = exact_lambda_by_cycles(m)
         print(f"{lam} {rational_to_decimal_str(lam)}")
     else:
-        lam = bisect_lambda(g, m, to_rational(args.tol))
+        lam = bisect_lambda(m, to_rational(args.tol))
         print(f"{lam} {rational_to_decimal_str(lam)}")
     return 0
 
@@ -270,7 +273,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MetricViolation, DomainError, SizeError, StarspanError) as exc:

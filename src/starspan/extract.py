@@ -32,8 +32,7 @@ from .errors import DomainError, InternalInvariantError, NegativeCycleError
 # importable from here.
 from .lgraph import build_lambda_graph  # noqa: F401
 from .lgraph import over_vertex, under_vertex
-from .linfun import Rational
-from .metric import MetricSpace, StarEmbedding, scaled_int_rows
+from .metric import MetricSpace, Rational, StarEmbedding, scaled_int_rows
 from .parametric import RunStats, _relax, lambda_star_detailed
 
 

@@ -17,24 +17,52 @@ solver and the hub extraction both run on the scaled distance matrix
 through one numpy Bellman-Ford kernel (parametric._relax) and never build
 this graph.
 
-Here the graph is explicit, for the oracle and the tests.
+Here the graph (LambdaGraph) is explicit, for the oracle and the tests,
+with the exact lines that weigh its edges and cycles (LinearFn, add).
 has_negative_cycle is the independent pure-Python checker they compare
-the solver against: a probe value lam = p/q clears denominators once and
-then relaxes in plain integer arithmetic, sweeping a fixed sorted edge
-order, so everything is deterministic, and it returns a verified witness
-cycle.
+the solver against: at lam = p/q it weighs each edge on the
+scaled_int_rows matrix D as p*D[s][t] or -q*D[s][t], the exact weight
+times one positive constant, relaxes in plain integers over a fixed
+sorted edge order, and returns a CycleWitness verified on the lines.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalInvariantError
-from .linfun import LinearFn, Rational, add
-from .metric import MetricSpace
+from .metric import MetricSpace, Rational, scaled_int_rows
+
+
+def _ratio(num: Rational, den: Rational) -> Fraction:
+    """Exact num/den.  Guards against int/int producing a float."""
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return Fraction(num) / Fraction(den)
+
+
+@dataclass(frozen=True)
+class LinearFn:
+    """The exact line x -> slope*x + intercept."""
+
+    slope: Rational
+    intercept: Rational
+
+    def __call__(self, x: Rational) -> Rational:
+        return self.slope * x + self.intercept
+
+    def root(self) -> Fraction:
+        """The unique zero of a non-constant line."""
+        if self.slope == 0:
+            raise DomainError("a constant line has no unique root")
+        return _ratio(-self.intercept, self.slope)
+
+
+def add(f: LinearFn, g: LinearFn) -> LinearFn:
+    """Pointwise sum of two lines."""
+    return LinearFn(f.slope + g.slope, f.intercept + g.intercept)
 
 
 def over_vertex(site: int, n: int) -> int:
@@ -102,15 +130,6 @@ class CycleWitness:
     probe: Fraction
 
 
-def _scaled_edges(edge_list) -> Tuple[List[Tuple[int, int, int]], int]:
-    """Clear denominators of (u, v, Fraction weight) edges, order kept:
-    returns (integer edges, scale) with every weight multiplied by scale."""
-    scale = 1
-    for _, _, w in edge_list:
-        scale = math.lcm(scale, w.denominator)
-    return [(u, v, int(w * scale)) for u, v, w in edge_list], scale
-
-
 def _extract_verified_cycle(pred, start, weight_of, lam, cap):
     """Follow predecessor links from start; verify any cycle found.
 
@@ -156,9 +175,13 @@ def has_negative_cycle(g: LambdaGraph, lam: Rational) -> Optional[CycleWitness]:
     within |V| sweeps when no negative cycle exists.
     """
     lam = Fraction(lam)
-    nv = 2 * g.site_count
-    exact = [(u, v, e.slope * lam + e.intercept) for u, v, e in g.edges]
-    edges, _ = _scaled_edges(exact)
+    n = g.site_count
+    nv = 2 * n
+    # Every weight times q * scale: an integer, and the same comparisons.
+    rows, _ = scaled_int_rows(g.dist)
+    p, q = lam.numerator, lam.denominator
+    edges = [(u, v, p * rows[u][v - n] if u < n else -q * rows[u - n][v])
+             for u, v, _ in g.edges]
     weight_of = {(u, v): e for u, v, e in g.edges}
     dist = [0] * nv
     pred = [-1] * nv

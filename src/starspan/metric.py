@@ -17,12 +17,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError, MetricViolation, ParseError
-from .linfun import Rational
+
+# An exact rational; plain ints are accepted anywhere a Fraction is.
+Rational = Union[int, Fraction]
 
 
 def to_rational(value) -> Fraction:

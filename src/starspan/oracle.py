@@ -1,6 +1,8 @@
 """Independent ground truth for the optimal star dilation.
 
-Three cross-checks that share no code with the production search:
+Three cross-checks that take a MetricSpace and share only one helper
+with the production search, metric.scaled_int_rows (test_metric checks
+it against a per-entry formulation):
 
 * exhaustive enumeration of simple cycles in the comparison graph, whose
   best weight ratio IS the optimal dilation (small n only);
@@ -22,15 +24,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, SizeError
-from .lgraph import (
-    LambdaGraph,
-    build_lambda_graph,
-    has_negative_cycle,
-    over_vertex,
-    under_vertex,
-)
-from .linfun import Rational
-from .metric import MetricSpace, dilation_bounds, scaled_int_rows, verify_star
+from .lgraph import build_lambda_graph, has_negative_cycle, over_vertex, under_vertex
+from .metric import MetricSpace, Rational, dilation_bounds, scaled_int_rows, verify_star
 
 MAX_EXACT_SITES = 7
 
@@ -51,16 +46,18 @@ class CycleRatio:
     threshold: Fraction
 
 
-def best_cycle_ratio(g: LambdaGraph) -> CycleRatio:
+def best_cycle_ratio(m: MetricSpace) -> CycleRatio:
     """The simple cycle with the largest threshold; exhaustive search.
 
     Cost grows roughly like n! * 2^n, so this refuses n > 7; up to there
     it finishes in seconds and is trustworthy by construction.
     """
-    n = g.site_count
+    n = m.n
+    if n < 2:
+        raise DomainError("need at least two sites")
     if n > MAX_EXACT_SITES:
         raise SizeError(f"exact cycle enumeration is capped at {MAX_EXACT_SITES} sites")
-    rows, _ = scaled_int_rows(g.dist)
+    rows, _ = scaled_int_rows(m.dist)
     best_num, best_den = 0, 1
     best_pairs: List[Tuple[int, int]] = []
     used_a = [False] * n
@@ -107,17 +104,17 @@ def best_cycle_ratio(g: LambdaGraph) -> CycleRatio:
     for i, (a, b) in enumerate(best_pairs):
         verts.append(over_vertex(a, n))
         verts.append(under_vertex(b, n))
-        slope += g.dist[a][b]
-        icept -= g.dist[b][best_pairs[(i + 1) % k][0]]
+        slope += m.dist[a][b]
+        icept -= m.dist[b][best_pairs[(i + 1) % k][0]]
     return CycleRatio(tuple(verts), slope, icept, Fraction(best_num, best_den))
 
 
-def exact_lambda_by_cycles(g: LambdaGraph) -> Fraction:
+def exact_lambda_by_cycles(m: MetricSpace) -> Fraction:
     """Optimal dilation as the best simple-cycle ratio (n <= 7)."""
-    return best_cycle_ratio(g).threshold
+    return best_cycle_ratio(m).threshold
 
 
-def bisect_lambda(g: LambdaGraph, m: MetricSpace, tol: Rational) -> Fraction:
+def bisect_lambda(m: MetricSpace, tol: Rational) -> Fraction:
     """Approximate optimal dilation by bisection to within tol.
 
     Each step probes the midpoint with the exact negative-cycle test: a
@@ -125,6 +122,7 @@ def bisect_lambda(g: LambdaGraph, m: MetricSpace, tol: Rational) -> Fraction:
     is the midpoint of a bracket of width <= tol that contains the
     optimum, so the absolute error is at most tol.
     """
+    g = build_lambda_graph(m)
     tol = Fraction(tol)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -169,13 +167,13 @@ def check_optimal(m: MetricSpace, s) -> OptimalityReport:
     feasible = report.ok
     if not feasible:
         notes.extend(report.lines())
-    g = build_lambda_graph(m)
     if m.n <= MAX_EXACT_SITES:
-        expected = exact_lambda_by_cycles(g)
+        expected = exact_lambda_by_cycles(m)
         optimal = feasible and s.lambda_star == expected
         if s.lambda_star != expected:
             notes.append(f"claimed {s.lambda_star}, cycle enumeration says {expected}")
         return OptimalityReport(feasible, optimal, "exact-cycles", expected, tuple(notes))
+    g = build_lambda_graph(m)
     clean_at = has_negative_cycle(g, s.lambda_star) is None
     if not clean_at:
         notes.append(f"negative cycle exists at claimed value {s.lambda_star}")

@@ -27,6 +27,8 @@ from every entry still pending, so no envelope is ever built.  A bound on
 every intermediate value picks int64 when provably safe and exact
 big-integer object arrays otherwise; both paths are exact.
 
+The bracket (Interval) and the run's counters (RunStats) are defined here.
+
 Every probe, and the hub extraction in extract, runs one Bellman-Ford
 kernel, _relax, on the same scaled matrix.  It stops as soon as a sweep
 changes nothing (clean: the shortest path lengths are returned) or the
@@ -43,12 +45,28 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InternalInvariantError
-from .linfun import Interval
-from .metric import MetricSpace, dilation_bounds, scaled_int_rows
+from .errors import DomainError, InternalInvariantError
+from .metric import MetricSpace, Rational, dilation_bounds, scaled_int_rows
 
 
 _INT64_VALUE_LIMIT = 1 << 58
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Closed interval [lo, hi] with exact rational endpoints."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        object.__setattr__(self, "hi", Fraction(self.hi))
+        if self.lo > self.hi:
+            raise DomainError(f"empty interval [{self.lo}, {self.hi}]")
+
+    def contains(self, x: Rational) -> bool:
+        return self.lo <= x <= self.hi
 
 
 def _plan_dtype(value_bound: int):

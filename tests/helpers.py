@@ -36,6 +36,17 @@ def ones_twos_metric(rng, n) -> MetricSpace:
     return MetricSpace(tuple(str(i) for i in range(n)), rows)
 
 
+def prime_metric(rng, n, p) -> MetricSpace:
+    """n sites with every distance 1 + a/p for a random 0 < a < p: always
+    a metric, since every distance lies in (1, 2), and one whose cleared
+    integers are about as large as p."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = 1 + Fraction(rng.randint(1, p - 1), p)
+    return MetricSpace(tuple(str(i) for i in range(n)), rows)
+
+
 def sample_points(lo, hi, k):
     """k + 1 evenly spaced rationals covering [lo, hi] inclusive."""
     lo, hi = Fraction(lo), Fraction(hi)

@@ -74,9 +74,8 @@ def test_criterion_1_oracle_agreement():
     mismatches = []
     for n, seed, model in SMALL_CASES:
         m = gen_random_metric(n, seed, model=model)
-        g = build_lambda_graph(m)
         got = lambda_star(m)
-        want = exact_lambda_by_cycles(g)
+        want = exact_lambda_by_cycles(m)
         if got != want:
             mismatches.append((n, seed, model, got, want))
     elapsed = time.perf_counter() - t0
@@ -110,8 +109,8 @@ def test_criterion_3_canonical_instances():
     s2, _ = embed_detailed(m2)
     m4 = parse_metric(FOUR_CYCLE)
     s4, _ = embed_detailed(m4)
-    oracle2 = exact_lambda_by_cycles(build_lambda_graph(m2))
-    oracle4 = exact_lambda_by_cycles(build_lambda_graph(m4))
+    oracle2 = exact_lambda_by_cycles(m2)
+    oracle4 = exact_lambda_by_cycles(m4)
     ok = (
         s2.lambda_star == oracle2 == 1
         and s2.hub_len == (F(1, 2), F(1, 2))
@@ -131,9 +130,8 @@ def test_criterion_4_bisection_sandwich():
     bad = []
     for n, seed, model in MID_CASES:
         m = gen_random_metric(n, seed, model=model)
-        g = build_lambda_graph(m)
         exact = lambda_star(m)
-        approx = bisect_lambda(g, m, tol)
+        approx = bisect_lambda(m, tol)
         gap = abs(approx - exact)
         worst = max(worst, gap)
         if gap > tol:

@@ -1,11 +1,12 @@
 """Command line interface: exit codes, formats, round trips."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from starspan import embed, parse_metric
+from starspan import embed, metric_to_json_text, metric_to_matrix_text, parse_metric
 from starspan.cli import main, rational_to_decimal_str
 
 
@@ -50,6 +51,8 @@ class TestEmbed:
         assert doc["hub_edges"]["0"]["decimal"] == "0.5"
         assert doc["input"]["sites"] == 2
         assert len(doc["input"]["sha256"]) == 64
+        canon = metric_to_matrix_text(parse_metric(TWO_POINT))
+        assert doc["input"]["sha256"] == hashlib.sha256(canon.encode()).hexdigest()
 
     def test_matches_library(self, capsys, two_point_file, tmp_path):
         out_path = tmp_path / "emb.json"
@@ -81,6 +84,21 @@ class TestEmbed:
             assert code == 2
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("embed", "{two}", "-o", "{two}/x"),
+            ("embed", "{two}/x"),
+            ("verify", "{two}", "{two}/x"),
+        ],
+        ids=["output-under-file", "metric-under-file", "star-under-file"],
+    )
+    def test_os_error_exits_2(self, capsys, two_point_file, argv):
+        code, _, err = run(capsys, *(a.format(two=two_point_file) for a in argv))
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_metric_violation_exits_1_and_names_sites(self, capsys, tmp_path):
         p = tmp_path / "tri.txt"
@@ -124,6 +142,19 @@ class TestVerify:
         star = tmp_path / "star.json"
         assert run(capsys, "embed", two_point_file, "-o", str(star))[0] == 0
         code, _, err = run(capsys, "verify", two_point_file, str(star))
+        assert code == 0 and not err.strip()
+
+    def test_round_trip_with_labels_matrix_format_cannot_carry(self, capsys, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text('{"points": ["a b", "c", ""], '
+                     '"distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}')
+        star = tmp_path / "star.json"
+        code, _, err = run(capsys, "embed", str(p), "--format", "json", "-o", str(star))
+        assert code == 0 and not err.strip()
+        doc = json.loads(star.read_text())
+        canon = metric_to_json_text(parse_metric(p.read_text(), "json"))
+        assert doc["input"]["sha256"] == hashlib.sha256(canon.encode()).hexdigest()
+        code, _, err = run(capsys, "verify", str(p), str(star), "--format", "json")
         assert code == 0 and not err.strip()
 
     def test_domination_failure(self, capsys, tmp_path, two_point_file):

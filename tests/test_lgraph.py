@@ -1,4 +1,5 @@
-"""Parametric constraint graph: construction, probing, shortest paths."""
+"""Exact lines and the parametric constraint graph: construction, probing,
+shortest paths."""
 
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from starspan import (
     DomainError,
     LinearFn,
     NegativeCycleError,
+    add,
     build_lambda_graph,
     gen_random_metric,
     has_negative_cycle,
@@ -20,6 +22,7 @@ from starspan import (
     vertex_site,
 )
 from starspan.oracle import exact_lambda_by_cycles
+from helpers import rand_fraction
 
 
 F = Fraction
@@ -140,7 +143,7 @@ class TestNegativeCycleProbe:
         for _ in range(12):
             m = gen_random_metric(rng.randint(3, 5), rng.randint(0, 10 ** 6))
             g = build_lambda_graph(m)
-            star = exact_lambda_by_cycles(g)
+            star = exact_lambda_by_cycles(m)
             assert has_negative_cycle(g, star) is None
             if star > 1:
                 eps = F(1, 10 ** 9)
@@ -192,10 +195,50 @@ class TestShortestPaths:
             m = gen_random_metric(rng.randint(2, 5), rng.randint(0, 10 ** 6))
             g = build_lambda_graph(m)
             n = m.n
-            lam = exact_lambda_by_cycles(g) + F(rng.randint(0, 2), 3)
+            lam = exact_lambda_by_cycles(m) + F(rng.randint(0, 2), 3)
             pl = source_path_lengths(m, lam)
             l = pl.l
             for u, v, fn in g.edges:
                 assert l[v] <= l[u] + fn(lam)
             for v in range(n):  # the zero-weight source edges
                 assert l[over_vertex(v, n)] <= l[pl.source]
+
+
+class TestLinearFn:
+    def test_call(self):
+        f = LinearFn(F(2), F(-3))
+        assert f(F(5)) == 7
+        assert f(0) == -3
+
+    def test_root(self):
+        assert LinearFn(F(2), F(-3)).root() == F(3, 2)
+        with pytest.raises(DomainError):
+            LinearFn(F(0), F(1)).root()
+
+    def test_add(self):
+        s = add(LinearFn(F(1), F(2)), LinearFn(F(3), F(-1)))
+        assert s == LinearFn(F(4), F(1))
+
+
+class TestEvaluate:
+    def test_sample_values(self):
+        f, g = LinearFn(F(2), F(0)), LinearFn(F(1), F(1))
+        assert [min(f(x), g(x)) for x in (F(0), F(1), F(3))] == [0, 2, 4]
+
+    def test_exact_fractions(self):
+        assert LinearFn(F(1, 3), F(1, 7))(F(1, 2)) == F(1, 6) + F(1, 7)
+        # int coefficients never divide into a float
+        root = LinearFn(3, 1).root()
+        assert isinstance(root, Fraction) and root == F(-1, 3)
+
+
+def test_add_is_associative_and_commutative():
+    rng = random.Random(3)
+    fns = [
+        LinearFn(rand_fraction(rng, 0, 5), rand_fraction(rng, -5, 5))
+        for _ in range(20)
+    ]
+    for _ in range(200):
+        f, g, h = rng.choice(fns), rng.choice(fns), rng.choice(fns)
+        assert add(f, g) == add(g, f)
+        assert add(add(f, g), h) == add(f, add(g, h))

@@ -29,28 +29,28 @@ FOUR_CYCLE = "0 1 2 1\n1 0 1 2\n2 1 0 1\n1 2 1 0"
 
 class TestCycleEnumeration:
     def test_two_point(self):
-        g = build_lambda_graph(parse_metric(TWO_POINT))
-        r = best_cycle_ratio(g)
+        m = parse_metric(TWO_POINT)
+        r = best_cycle_ratio(m)
         assert r.threshold == 1
         assert r.slope_sum > 0
         assert r.threshold == -r.intercept_sum / r.slope_sum
-        assert exact_lambda_by_cycles(g) == 1
+        assert exact_lambda_by_cycles(m) == 1
 
     def test_three_point_always_one(self):
         # Any 3-point metric embeds in a star with no stretch: route
         # every pair through the hub at the tight tripod lengths.
         rng = random.Random(71)
         for _ in range(20):
-            g = build_lambda_graph(gen_random_metric(3, rng.randint(0, 10 ** 6)))
-            assert exact_lambda_by_cycles(g) == 1
+            m = gen_random_metric(3, rng.randint(0, 10 ** 6))
+            assert exact_lambda_by_cycles(m) == 1
 
     def test_four_cycle(self):
         # Diagonals force c_0+c_2 >= 2 and c_1+c_3 >= 2, so the four
         # unit sides sum to at least 4 while each may stretch to lam:
         # 4 <= sum of sides' (c_v+c_w) <= 4*lam gives lam >= ... = 2,
         # and (1,1,1,1) attains it.
-        g = build_lambda_graph(parse_metric(FOUR_CYCLE))
-        assert exact_lambda_by_cycles(g) == 2
+        m = parse_metric(FOUR_CYCLE)
+        assert exact_lambda_by_cycles(m) == 2
 
     def test_cycle_vertices_form_real_cycle(self):
         rng = random.Random(83)
@@ -58,7 +58,7 @@ class TestCycleEnumeration:
             m = gen_random_metric(rng.randint(2, 5), rng.randint(0, 10 ** 6))
             g = build_lambda_graph(m)
             em = {(u, v): fn for u, v, fn in g.edges}
-            r = best_cycle_ratio(g)
+            r = best_cycle_ratio(m)
             vs = r.vertices
             slope = F(0)
             intercept = F(0)
@@ -69,9 +69,9 @@ class TestCycleEnumeration:
             assert (slope, intercept) == (r.slope_sum, r.intercept_sum)
 
     def test_size_cap(self):
-        g = build_lambda_graph(gen_random_metric(8, 0))
+        m = gen_random_metric(8, 0)
         with pytest.raises(SizeError):
-            exact_lambda_by_cycles(g)
+            exact_lambda_by_cycles(m)
 
 
 def test_simple_cycles_suffice_against_bounded_walks():
@@ -86,7 +86,7 @@ def test_simple_cycles_suffice_against_bounded_walks():
     ]
     for m in metrics:
         g = build_lambda_graph(m)
-        star = exact_lambda_by_cycles(g)
+        star = exact_lambda_by_cycles(m)
         cap = 4 * m.n  # 2|V| edges
         at_star = min_walk_weights(g, star, cap)
         for v in range(2 * m.n):  # closed walks only; open paths may dip
@@ -102,31 +102,27 @@ def test_simple_cycles_suffice_against_bounded_walks():
 class TestBisection:
     def test_two_point(self):
         m = parse_metric(TWO_POINT)
-        g = build_lambda_graph(m)
-        got = bisect_lambda(g, m, F(1, 1000))
+        got = bisect_lambda(m, F(1, 1000))
         assert abs(got - 1) <= F(1, 1000)
 
     def test_four_cycle_tight_tolerance(self):
         m = parse_metric(FOUR_CYCLE)
-        g = build_lambda_graph(m)
-        got = bisect_lambda(g, m, F(1, 10 ** 6))
+        got = bisect_lambda(m, F(1, 10 ** 6))
         assert abs(got - 2) <= F(1, 10 ** 6)
 
     def test_tolerance_contract_holds_as_it_shrinks(self):
         m = gen_random_metric(5, 12345)
-        g = build_lambda_graph(m)
-        star = exact_lambda_by_cycles(g)
+        star = exact_lambda_by_cycles(m)
         for k in (2, 4, 6, 8):
             tol = F(1, 10 ** k)
-            assert abs(bisect_lambda(g, m, tol) - star) <= tol
+            assert abs(bisect_lambda(m, tol) - star) <= tol
 
     def test_rejects_bad_tolerance(self):
         m = parse_metric(TWO_POINT)
-        g = build_lambda_graph(m)
         with pytest.raises(DomainError):
-            bisect_lambda(g, m, 0)
+            bisect_lambda(m, 0)
         with pytest.raises(DomainError):
-            bisect_lambda(g, m, F(-1, 2))
+            bisect_lambda(m, F(-1, 2))
 
 
 class TestCheckOptimal:

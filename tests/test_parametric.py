@@ -25,7 +25,15 @@ from starspan import (
 from starspan import parametric
 from starspan.metric import scaled_int_rows
 from starspan.oracle import exact_lambda_by_cycles
-from helpers import DTYPE_PATHS, min_walk_weights, ones_twos_metric, rand_fraction, sample_points
+from helpers import (
+    DTYPE_PATHS,
+    min_walk_weights,
+    ones_twos_metric,
+    prime_metric,
+    rand_fraction,
+    reference_path_lengths,
+    sample_points,
+)
 
 
 F = Fraction
@@ -192,7 +200,7 @@ class TestNarrowInterval:
         rng = random.Random(41)
         for _ in range(8):
             m = gen_random_metric(rng.randint(3, 5), rng.randint(0, 10 ** 6))
-            star = exact_lambda_by_cycles(build_lambda_graph(m))
+            star = exact_lambda_by_cycles(m)
             count = (2 * m.n - 1).bit_length()
             for *_, r, _, _ in squarings(m, count):
                 assert r.contains(star)
@@ -251,17 +259,20 @@ class TestRelax:
     @pytest.mark.parametrize("limit", DTYPE_PATHS)
     def test_probe_matches_has_negative_cycle(self, limit, monkeypatch):
         """The kernel finds a negative cycle exactly where the pure-Python
-        checker does: at lambda*, lambda* +- 1/10**6 and random points of
-        the bracket, on random and tie-heavy {1, 2} instances, on both
-        dtype paths."""
+        checker does, and where a Fraction Bellman-Ford that never clears
+        denominators does: at lambda*, lambda* +- 1/10**6 and random
+        points of the bracket, on random, tie-heavy {1, 2} and big-prime
+        rational instances, on both dtype paths."""
         if limit is not None:
             monkeypatch.setattr(parametric, "_INT64_VALUE_LIMIT", limit)
         rng = random.Random(71)
         eps = F(1, 10 ** 6)
         negatives = 0
-        for i in range(24):
+        for i in range(24 + len(BIG_PRIMES)):
             n = rng.randint(2, 8)
-            if i % 3:
+            if i >= 24:
+                m = prime_metric(rng, n, BIG_PRIMES[i - 24])
+            elif i % 3:
                 m = gen_random_metric(n, rng.randint(0, 10 ** 6))
             else:
                 m = ones_twos_metric(rng, n)
@@ -273,6 +284,7 @@ class TestRelax:
             for lam in lams:
                 negative = parametric._relax(rows, lam) is None
                 assert negative == (has_negative_cycle(g, lam) is not None), (m.dist, lam)
+                assert negative == (reference_path_lengths(g, lam) is None), (m.dist, lam)
                 negatives += negative
         assert negatives > 0
 
@@ -292,8 +304,7 @@ class TestLambdaStar:
         rng = random.Random(59)
         for _ in range(20):
             m = gen_random_metric(rng.randint(4, 6), rng.randint(0, 10 ** 9))
-            g = build_lambda_graph(m)
-            assert lambda_star(m) == exact_lambda_by_cycles(g)
+            assert lambda_star(m) == exact_lambda_by_cycles(m)
 
     def test_probe_certificates_around_answer(self):
         rng = random.Random(67)
@@ -335,8 +346,7 @@ class TestLambdaStar:
                 rows[i][j] = rows[j][i] = 1 + F(1, p)
         text = "\n".join(" ".join(str(x) for x in row) for row in rows)
         m = parse_metric(text)
-        g = build_lambda_graph(m)
-        assert lambda_star(m) == exact_lambda_by_cycles(g)
+        assert lambda_star(m) == exact_lambda_by_cycles(m)
 
     def test_object_dtype_path_matches(self, monkeypatch):
         # Shrink the int64 certification limit so every squaring takes
@@ -389,11 +399,22 @@ class TestAdversarial:
     @given(adversarial_metrics())
     @settings(deadline=None, max_examples=100, derandomize=True)
     def test_matches_cycle_enumeration_on_both_dtype_paths(self, m):
-        g = build_lambda_graph(m)
-        want = exact_lambda_by_cycles(g)
+        want = exact_lambda_by_cycles(m)
         star, stats = lambda_star_detailed(m)
         assert star == want
         assert stats.final_interval.contains(star)
         assert stats.max_breakpoints <= 2 * m.n - 1
         with mock.patch.object(parametric, "_INT64_VALUE_LIMIT", 1):
             assert lambda_star_detailed(m) == (star, stats)
+
+
+class TestInterval:
+    def test_ordering_enforced(self):
+        with pytest.raises(DomainError):
+            Interval(F(2), F(1))
+
+    def test_contains(self):
+        r = Interval(F(1), F(3))
+        assert r.contains(F(1)) and r.contains(F(3)) and r.contains(F(2))
+        assert not r.contains(F(4))
+        assert Interval(F(1), F(1)).contains(1)
