@@ -25,14 +25,14 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Tuple
 
-from .errors import DomainError, InternalInvariantError, NegativeCycleError
+from .errors import InternalInvariantError, NegativeCycleError
 
 # Not called here.  benchmark/tracing.py rebinds names in this module
 # to time each layer, build_lambda_graph among them, so it must stay
 # importable from here.
 from .lgraph import build_lambda_graph  # noqa: F401
 from .lgraph import over_vertex, under_vertex
-from .metric import MetricSpace, Rational, StarEmbedding, scaled_int_rows
+from .metric import MetricSpace, Rational, StarEmbedding, require_two_sites, scaled_int_rows
 from .parametric import RunStats, _relax, lambda_star_detailed
 
 
@@ -52,8 +52,7 @@ def source_path_lengths(m: MetricSpace, lam_star: Rational) -> PathLengths:
     NegativeCycleError if lam_star is below the optimal dilation.
     """
     n = m.n
-    if n < 2:
-        raise DomainError("need at least two sites")
+    require_two_sites(n)
     lam = Fraction(lam_star)
     rows, scale = scaled_int_rows(m.dist)
     lengths = _relax(rows, lam)

@@ -33,14 +33,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalInvariantError
-from .metric import MetricSpace, Rational, scaled_int_rows
-
-
-def _ratio(num: Rational, den: Rational) -> Fraction:
-    """Exact num/den.  Guards against int/int producing a float."""
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    return Fraction(num) / Fraction(den)
+from .metric import MetricSpace, Rational, require_two_sites, scaled_int_rows
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,7 @@ class LinearFn:
         """The unique zero of a non-constant line."""
         if self.slope == 0:
             raise DomainError("a constant line has no unique root")
-        return _ratio(-self.intercept, self.slope)
+        return Fraction(-self.intercept) / Fraction(self.slope)
 
 
 def add(f: LinearFn, g: LinearFn) -> LinearFn:
@@ -100,8 +93,7 @@ class LambdaGraph:
 def build_lambda_graph(m: MetricSpace) -> LambdaGraph:
     """Construct the comparison graph of a metric space (n >= 2)."""
     n = m.n
-    if n < 2:
-        raise DomainError("need at least two sites")
+    require_two_sites(n)
     edges = []
     for s in range(n):
         for t in range(n):

@@ -146,6 +146,12 @@ class MetricSpace:
         return MetricSpace(self.labels, tuple(tuple(v * a for v in row) for row in self.dist))
 
 
+def require_two_sites(n: int) -> None:
+    """Raise DomainError unless there are at least two sites."""
+    if n < 2:
+        raise DomainError("need at least two sites")
+
+
 def dilation_bounds(m: MetricSpace) -> Tuple[Fraction, Fraction]:
     """[1, 2*max_d/min_d]: a bracket certain to contain the optimal dilation.
 
@@ -154,8 +160,7 @@ def dilation_bounds(m: MetricSpace) -> Tuple[Fraction, Fraction]:
     hub edge equal to the largest distance D: it is feasible for
     lam = 2D / min_d, so the optimum cannot exceed that.
     """
-    if m.n < 2:
-        raise DomainError("need at least two sites")
+    require_two_sites(m.n)
     off = [m.dist[i][j] for i in range(m.n) for j in range(i + 1, m.n)]
     return Fraction(1), Fraction(2) * max(off) / min(off)
 
@@ -298,8 +303,7 @@ def gen_random_metric(n: int, seed: int, model: str = "shortest_path") -> Metric
     platform: the generator state is seeded from a string and the only
     arithmetic is integer arithmetic.
     """
-    if n < 2:
-        raise DomainError("need at least two sites")
+    require_two_sites(n)
     if model == "shortest_path":
         rows = _gen_shortest_path(n, seed)
     elif model == "rounded_euclidean":

@@ -25,7 +25,14 @@ from typing import List, Optional, Tuple
 
 from .errors import DomainError, SizeError
 from .lgraph import build_lambda_graph, has_negative_cycle, over_vertex, under_vertex
-from .metric import MetricSpace, Rational, dilation_bounds, scaled_int_rows, verify_star
+from .metric import (
+    MetricSpace,
+    Rational,
+    dilation_bounds,
+    require_two_sites,
+    scaled_int_rows,
+    verify_star,
+)
 
 MAX_EXACT_SITES = 7
 
@@ -53,8 +60,7 @@ def best_cycle_ratio(m: MetricSpace) -> CycleRatio:
     it finishes in seconds and is trustworthy by construction.
     """
     n = m.n
-    if n < 2:
-        raise DomainError("need at least two sites")
+    require_two_sites(n)
     if n > MAX_EXACT_SITES:
         raise SizeError(f"exact cycle enumeration is capped at {MAX_EXACT_SITES} sites")
     rows, _ = scaled_int_rows(m.dist)

@@ -36,14 +36,20 @@ def ones_twos_metric(rng, n) -> MetricSpace:
     return MetricSpace(tuple(str(i) for i in range(n)), rows)
 
 
-def prime_metric(rng, n, p) -> MetricSpace:
-    """n sites with every distance 1 + a/p for a random 0 < a < p: always
-    a metric, since every distance lies in (1, 2), and one whose cleared
-    integers are about as large as p."""
+def prime_metric(n, primes, rng=None) -> MetricSpace:
+    """n sites with the k-th pair (row-major, i < j) at distance 1 + a/p,
+    p = primes[k % len(primes)], for a random 0 < a < p drawn from rng, or
+    a = 1 without one: always a metric, since every distance lies in
+    (1, 2), and one whose cleared integers are about as large as the
+    product of the distinct primes."""
     rows = [[Fraction(0)] * n for _ in range(n)]
+    k = 0
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = 1 + Fraction(rng.randint(1, p - 1), p)
+            p = primes[k % len(primes)]
+            a = rng.randint(1, p - 1) if rng is not None else 1
+            rows[i][j] = rows[j][i] = 1 + Fraction(a, p)
+            k += 1
     return MetricSpace(tuple(str(i) for i in range(n)), rows)
 
 

@@ -271,7 +271,7 @@ class TestRelax:
         for i in range(24 + len(BIG_PRIMES)):
             n = rng.randint(2, 8)
             if i >= 24:
-                m = prime_metric(rng, n, BIG_PRIMES[i - 24])
+                m = prime_metric(n, (BIG_PRIMES[i - 24],), rng)
             elif i % 3:
                 m = gen_random_metric(n, rng.randint(0, 10 ** 6))
             else:
@@ -338,14 +338,7 @@ class TestLambdaStar:
         # integers far past the int64 certification bound, so this
         # exercises the arbitrary-precision path on a real instance.
         primes = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549]
-        rows = [[F(0)] * 4 for _ in range(4)]
-        it = iter(primes)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                p = next(it)
-                rows[i][j] = rows[j][i] = 1 + F(1, p)
-        text = "\n".join(" ".join(str(x) for x in row) for row in rows)
-        m = parse_metric(text)
+        m = prime_metric(4, primes)
         assert lambda_star(m) == exact_lambda_by_cycles(m)
 
     def test_object_dtype_path_matches(self, monkeypatch):
