@@ -35,7 +35,7 @@ from .metric import (
     verify_star,
 )
 from .oracle import MAX_EXACT_SITES, bisect_lambda, exact_lambda_by_cycles
-from .parametric import lambda_star
+from .parametric import ENGINES, lambda_star
 
 RESULT_SCHEMA = 1
 
@@ -90,7 +90,7 @@ def _embed_result(m: MetricSpace, s: StarEmbedding, wall: float) -> dict:
 def cmd_embed(args) -> int:
     m = _load_metric(args.metric, args.format)
     t0 = time.perf_counter()
-    s, _ = embed_detailed(m)
+    s, _ = embed_detailed(m, engine=args.engine)
     wall = time.perf_counter() - t0
     doc = json.dumps(_embed_result(m, s, wall), indent=1) + "\n"
     if args.output and args.output != "-":
@@ -102,7 +102,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    lam = lambda_star(_load_metric(args.metric, args.format))
+    lam = lambda_star(_load_metric(args.metric, args.format), engine=args.engine)
     print(f"{lam} {rational_to_decimal_str(lam)}")
     return 0
 
@@ -161,7 +161,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = ["n,seed,model,wall_seconds,lambda_star,iterations,max_breakpoints"]
+    rows = ["n,seed,model,wall_seconds,lambda_star,iterations,max_breakpoints,engine,jumps"]
     for n in args.sizes:
         for seed in args.seeds:
             m = gen_random_metric(n, seed, args.model)
@@ -170,7 +170,8 @@ def cmd_bench(args) -> int:
             wall = time.perf_counter() - t0
             rows.append(
                 f"{n},{seed},{args.model},{wall:.6f},"
-                f"{s.lambda_star},{stats.iterations},{stats.max_breakpoints}"
+                f"{s.lambda_star},{stats.iterations},{stats.max_breakpoints},"
+                f"{stats.engine},{stats.jumps}"
             )
             print(f"n={n} seed={seed} done in {wall:.3f}s", file=sys.stderr)
     text = "\n".join(rows) + "\n"
@@ -221,13 +222,24 @@ def _build_parser() -> argparse.ArgumentParser:
             help="input format (default: matrix)",
         )
 
+    def add_engine_arg(sp):
+        sp.add_argument(
+            "--engine",
+            choices=ENGINES,
+            default="newton",
+            help="newton: cycle-ratio jumps, falling back to parametric; "
+            "parametric: the paper's search alone (default: newton)",
+        )
+
     sp = sub.add_parser("embed", help="compute an optimal star embedding")
     add_metric_arg(sp)
+    add_engine_arg(sp)
     sp.add_argument("--output", "-o", help="write JSON here instead of stdout")
     sp.set_defaults(fn=cmd_embed)
 
     sp = sub.add_parser("lambda", help="print only the optimal dilation")
     add_metric_arg(sp)
+    add_engine_arg(sp)
     sp.set_defaults(fn=cmd_lambda)
 
     sp = sub.add_parser("verify", help="check a claimed embedding")

@@ -55,7 +55,7 @@ def source_path_lengths(m: MetricSpace, lam_star: Rational) -> PathLengths:
     require_two_sites(n)
     lam = Fraction(lam_star)
     rows, scale = scaled_int_rows(m.dist)
-    lengths = _relax(rows, lam)
+    lengths, _ = _relax(rows, lam)
     if lengths is None:
         raise NegativeCycleError(f"negative cycle at lam = {lam}")
     unit = lam.denominator * scale
@@ -78,18 +78,20 @@ def hub_lengths(pl: PathLengths, n: int) -> List[Fraction]:
     return out
 
 
-def embed_detailed(m: MetricSpace) -> Tuple[StarEmbedding, RunStats]:
-    """Optimal star embedding plus search statistics."""
-    lam, stats = lambda_star_detailed(m)
+def embed_detailed(m: MetricSpace, *, engine: str = "newton") -> Tuple[StarEmbedding, RunStats]:
+    """Optimal star embedding plus search statistics; engine as for
+    lambda_star_detailed."""
+    lam, stats = lambda_star_detailed(m, engine=engine)
     pl = source_path_lengths(m, lam)
     c = hub_lengths(pl, m.n)
     return StarEmbedding(m.labels, tuple(c), lam), stats
 
 
-def embed(m: MetricSpace) -> StarEmbedding:
+def embed(m: MetricSpace, *, engine: str = "newton") -> StarEmbedding:
     """Optimal star embedding of a finite metric space.
 
     The returned hub edge lengths satisfy every pair constraint at the
-    returned dilation, and no star over these sites does better.
+    returned dilation, and no star over these sites does better.  Both
+    engines return the same embedding.
     """
-    return embed_detailed(m)[0]
+    return embed_detailed(m, engine=engine)[0]

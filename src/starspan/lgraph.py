@@ -24,12 +24,16 @@ the solver against: at lam = p/q it weighs each edge on the
 scaled_int_rows matrix D as p*D[s][t] or -q*D[s][t], the exact weight
 times one positive constant, relaxes in plain integers over a fixed
 sorted edge order, and returns a CycleWitness verified on the lines.
+D and the edge lines are prepared once per graph, on the first probe,
+so repeated probes (bisect_lambda, check_optimal) clear the distance
+matrix only once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalInvariantError
@@ -88,6 +92,20 @@ class LambdaGraph:
     @property
     def vertices(self) -> Tuple[int, ...]:
         return tuple(range(2 * self.site_count))
+
+    @cached_property
+    def _probe_edges(
+        self,
+    ) -> Tuple[List[Tuple[int, int, int, int]], Dict[Tuple[int, int], LinearFn]]:
+        """What has_negative_cycle needs at every lam, built on its first
+        call: each edge as (from, to, a, b), weighing (a*p + b*q) / (q *
+        scale) at lam = p/q on the scaled_int_rows matrix, and each
+        edge's line by (from, to)."""
+        n = self.site_count
+        rows, _ = scaled_int_rows(self.dist)
+        edges = [(u, v, rows[u][v - n], 0) if u < n else (u, v, 0, -rows[u - n][v])
+                 for u, v, _ in self.edges]
+        return edges, {(u, v): e for u, v, e in self.edges}
 
 
 def build_lambda_graph(m: MetricSpace) -> LambdaGraph:
@@ -167,14 +185,11 @@ def has_negative_cycle(g: LambdaGraph, lam: Rational) -> Optional[CycleWitness]:
     within |V| sweeps when no negative cycle exists.
     """
     lam = Fraction(lam)
-    n = g.site_count
-    nv = 2 * n
+    nv = 2 * g.site_count
     # Every weight times q * scale: an integer, and the same comparisons.
-    rows, _ = scaled_int_rows(g.dist)
+    scaled, weight_of = g._probe_edges
     p, q = lam.numerator, lam.denominator
-    edges = [(u, v, p * rows[u][v - n] if u < n else -q * rows[u - n][v])
-             for u, v, _ in g.edges]
-    weight_of = {(u, v): e for u, v, e in g.edges}
+    edges = [(u, v, a * p + b * q) for u, v, a, b in scaled]
     dist = [0] * nv
     pred = [-1] * nv
     check_every = 4

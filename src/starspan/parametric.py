@@ -1,16 +1,38 @@
-"""Smallest parameter value at which the comparison graph loses all its
-negative cycles, found in strongly polynomial time with exact arithmetic.
+"""The optimal star dilation lambda*: the smallest parameter value at
+which the comparison graph loses all its negative cycles, found exactly
+by one of two engines.  Both return the same Fraction.
 
-The engine maintains a hop matrix D: entry (u, v) is the minimum weight of
-any walk from u to v using at most 2**hop_exponent edges, as a function of
-the parameter.  Min-plus squaring doubles the hop bound.  Inside a bracket
-that always contains the answer every entry is a single line; after a
-squaring an entry is the lower envelope of its chains u -> w -> v, and the
-bracket is narrowed against a negative-cycle probe until each entry is a
-single line again.  After ceil(log2(|V|)) squarings the entries dominate
-all walks of length |V|, hence all simple cycles; the answer is then the
-largest zero among the negative-sloped diagonal lines that are still
-negative at the bracket's left end (or the left end itself).
+Every cycle of the comparison graph alternates over -> under edges,
+weighing lam * d, with under -> over edges, weighing -d.  So it weighs
+lam * M - B, with M the sum of its over -> under distances and B the sum
+of its under -> over ones, and it is negative exactly when lam < B / M.
+lambda* is the largest such ratio over all cycles.
+
+The Newton engine (the default) is Dinkelbach's method, i.e. Newton's
+method for fractional combinatorial optimization (Dinkelbach 1967;
+Radzik 1992).  It starts at lam = 1 and probes: while the graph has a
+negative cycle at lam, lam jumps to the largest ratio B / M among the
+negative cycles the probe exposed.  Each such ratio is a lower bound on
+lambda* and strictly above the lam that exposed it, so the first clean
+probe is at lambda* exactly and is also the final check.  No polynomial
+bound is known for the number of jumps driven by an arbitrary witness,
+so after ceil(log2(2n))**2 of them, or when a probe proves a negative
+cycle without exposing one, the engine hands the bracket [lam, hi] to
+the parametric engine.  A probe costs O(n**3), so the jumps cost at
+most O(n**3 log**2 n), within the parametric engine's own bound.
+
+The parametric engine is the paper's algorithm, kept as the reference
+and the fallback.  It maintains a hop matrix D: entry (u, v) is the
+minimum weight of any walk from u to v using at most 2**hop_exponent
+edges, as a function of the parameter.  Min-plus squaring doubles the
+hop bound.  Inside a bracket that always contains the answer every entry
+is a single line; after a squaring an entry is the lower envelope of its
+chains u -> w -> v, and the bracket is narrowed against a negative-cycle
+probe until each entry is a single line again.  After ceil(log2(|V|))
+squarings the entries dominate all walks of length |V|, hence all simple
+cycles; the answer is then the largest zero among the negative-sloped
+diagonal lines that are still negative at the bracket's left end (or
+the left end itself).
 
 Exactness and speed coexist by clearing denominators once: the metric is
 scaled to integers, so every slope and intercept stays an integer and
@@ -29,12 +51,13 @@ big-integer object arrays otherwise; both paths are exact.
 
 The bracket (Interval) and the run's counters (RunStats) are defined here.
 
-Every probe, and the hub extraction in extract, runs one Bellman-Ford
-kernel, _relax, on the same scaled matrix.  It stops as soon as a sweep
-changes nothing (clean: the shortest path lengths are returned) or the
-predecessor graph holds a cycle of exactly verified negative weight,
-which on a typical negative probe happens within a few sweeps rather
-than after all 2n.
+Every probe of both engines, and the hub extraction in extract, runs one
+Bellman-Ford kernel, _relax, on the same scaled matrix.  It stops as soon
+as a sweep changes nothing (clean: the shortest path lengths are
+returned) or the predecessor graph holds a cycle of exactly verified
+negative weight, which on a typical negative probe happens within a few
+sweeps rather than after all 2n; the largest B / M among those cycles is
+returned with the verdict, for the Newton engine to jump to.
 """
 
 from __future__ import annotations
@@ -46,7 +69,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, InternalInvariantError
-from .metric import MetricSpace, Rational, dilation_bounds, scaled_int_rows
+from .metric import MetricSpace, Rational, dilation_bounds, require_two_sites, scaled_int_rows
 
 
 _INT64_VALUE_LIMIT = 1 << 58
@@ -256,22 +279,29 @@ def _binary_search_interval(
     return Interval(lo, hi)
 
 
-def _relax(rows: List[List[int]], t: Fraction) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+def _relax(
+    rows: List[List[int]], t: Fraction
+) -> Tuple[Optional[Tuple[np.ndarray, np.ndarray]], Optional[Fraction]]:
     """Exact Bellman-Ford on the comparison graph of an integer distance
     matrix at parameter t = p/q, from a super-source with a zero-weight
     edge into every over vertex.
 
-    Returns None when the graph has a negative cycle, else (d_over,
-    d_under): the shortest path lengths times q, in the units of rows.
-    For n >= 2 every vertex is reachable, so None answers the probe
-    "is the optimal dilation above t" exactly; for n = 1 the under
-    vertex is unreachable and keeps the +infinity sentinel.
+    Returns (lengths, ratio).  When the graph is clean, lengths is
+    (d_over, d_under), the shortest path lengths times q in the units of
+    rows, and ratio is None.  When it has a negative cycle, lengths is
+    None and ratio is the largest B / M among the negative cycles the
+    predecessor graph showed (see _negative_pred_cycle), which lies
+    strictly above t and at or below the optimal dilation; ratio is None
+    too when only the 2n-sweep bound proved the cycle.  For n >= 2 every
+    vertex is reachable, so lengths is None exactly when the optimal
+    dilation is above t; for n = 1 the under vertex is unreachable and
+    keeps the +infinity sentinel.
 
     Each sweep relaxes every edge at once and records, on each strict
     improvement, the vertex that gave it.  A sweep with no improvement
     means the lengths are final.  After each sweep the predecessor graph
-    is searched for a cycle, which counts as a negative cycle only once
-    its exact integer weight is summed and found below 0: the graph has
+    is searched for cycles, which count as negative only once their
+    exact integer weight is summed and found below 0: the graph has
     zero-weight cycles at the optimum, and one must never end a probe.
     Failing that, an improvement in each of the 2n sweeps also proves a
     negative cycle.
@@ -301,25 +331,29 @@ def _relax(rows: List[List[int]], t: Fraction) -> Optional[Tuple[np.ndarray, np.
         i_over = c_over < d_over
         i_under = c_under < d_under
         if not (i_over.any() or i_under.any()):
-            return d_over, d_under
+            return (d_over, d_under), None
         d_over = np.where(i_over, c_over, d_over)
         d_under = np.where(i_under, c_under, d_under)
         pred[:n][i_over] = n + a_over[i_over]
         pred[n : 2 * n][i_under] = a_under[i_under]
-        if _negative_pred_cycle(pred, w_uo, w_ou):
-            return None
-    return None
+        ratio = _negative_pred_cycle(pred, mat, t)
+        if ratio is not None:
+            return None, ratio
+    return None, None
 
 
-def _negative_pred_cycle(pred: np.ndarray, w_uo: np.ndarray, w_ou: np.ndarray) -> bool:
-    """Whether the predecessor graph of _relax has a cycle of negative
-    exact weight.
+def _negative_pred_cycle(pred: np.ndarray, mat: np.ndarray, t: Fraction) -> Optional[Fraction]:
+    """The largest ratio B / M among the cycles of the predecessor graph
+    of _relax that weigh less than 0 at t, or None when none does.
 
-    Pointer doubling takes every vertex to its 2**k-th ancestor with
-    2**k >= 2n: the super-source for a vertex whose chain ends there,
-    a vertex on a cycle for every other.  Each cycle is then walked once.
+    M sums the cycle's over -> under distances and B its under -> over
+    ones, both from mat, the integer distance matrix; the cycle weighs
+    (p*M - q*B) / q at t = p/q, exactly.  Pointer doubling takes every
+    vertex to its 2**k-th ancestor with 2**k >= 2n: the super-source for
+    a vertex whose chain ends there, a vertex on a cycle for every
+    other.  Each cycle is then walked once.
     """
-    n = len(w_uo)
+    n = len(mat)
     src = 2 * n
     anc = pred
     for _ in range((src - 1).bit_length()):
@@ -327,22 +361,29 @@ def _negative_pred_cycle(pred: np.ndarray, w_uo: np.ndarray, w_ou: np.ndarray) -
     ends = anc[:src]
     on_cycle = ends[ends != src]
     if not on_cycle.size:
-        return False
+        return None
+    p, q = t.numerator, t.denominator
+    best = None
     seen = set()
     for x in np.unique(on_cycle).tolist():
         if x in seen:
             continue
-        total, v = 0, x
+        slope, icept, v = 0, 0, x
         while True:
             seen.add(v)
             u = int(pred[v])
-            total += int(w_uo[u - n, v]) if v < n else int(w_ou[u, v - n])
+            if v < n:
+                icept += int(mat[u - n, v])
+            else:
+                slope += int(mat[u, v - n])
             v = u
             if v == x:
                 break
-        if total < 0:
-            return True
-    return False
+        if p * slope < q * icept:
+            ratio = Fraction(icept, slope)
+            if best is None or ratio > best:
+                best = ratio
+    return best
 
 
 def _d0_int(rows: List[List[int]]):
@@ -364,43 +405,55 @@ def _d0_int(rows: List[List[int]]):
     return np.array(mrows, dtype=object), np.array(brows, dtype=object), fin
 
 
+ENGINES = ("newton", "parametric")
+
+
 @dataclass(frozen=True)
 class RunStats:
     """Instrumentation from one optimal-dilation computation.
 
+    engine is the engine that produced the answer: "parametric" also
+    when the Newton engine handed its bracket over.  jumps counts the
+    Newton jumps made before that.  iterations, max_breakpoints and
+    final_interval describe the parametric engine's squarings; a Newton
+    run that needed none reports 0, 0 and [lambda*, lambda*].
+
     max_breakpoints is the most crossing rounds any entry needed in one
     squaring.  Each round removes at least one envelope piece from every
     entry it crosses, so the count never exceeds that entry's breakpoints
-    inside the bracket, nor |V| - 1.  probe_count counts the
-    negative-cycle probes made while narrowing, not the final check.
+    inside the bracket, nor |V| - 1.  probe_count counts every
+    negative-cycle probe of either engine except the final check at the
+    answer.
     """
 
     iterations: int
     max_breakpoints: int
     probe_count: int
     final_interval: Interval
+    engine: str
+    jumps: int
 
 
-def lambda_star_detailed(m: MetricSpace) -> Tuple[Fraction, RunStats]:
-    """Exact optimal dilation plus run statistics.
+def _jump_cap(n: int) -> int:
+    """Newton jumps allowed before the parametric engine takes over:
+    ceil(log2(2n))**2, which keeps the worst case at O(n**3 log**2 n)."""
+    return (2 * n - 1).bit_length() ** 2
 
-    Runs exactly ceil(log2(2n)) squarings.  Internally the metric is
-    scaled to integers once; the answer is a ratio of hop-matrix
-    coefficients, which scaling leaves unchanged, so the returned value
-    is in the original units.
-    """
-    nv = 2 * m.n
-    interval = Interval(*dilation_bounds(m))
-    rows, _ = scaled_int_rows(m.dist)
+
+def _parametric(
+    rows: List[List[int]], interval: Interval, probes: int = 0, jumps: int = 0
+) -> Tuple[Fraction, RunStats]:
+    """The paper's search on the bracket interval, which must hold the
+    answer.  probes and jumps are carried over from a Newton run."""
+    nv = 2 * len(rows)
     mat_m, mat_b, fin = _d0_int(rows)
     iterations = (nv - 1).bit_length()
-    probes = 0
     max_breaks = 0
 
     def probe(t: Fraction) -> bool:
         nonlocal probes
         probes += 1
-        return _relax(rows, t) is None
+        return _relax(rows, t)[0] is None
 
     for _ in range(iterations):
         out_m, out_b, out_fin, pend_u, pend_v = _square_int(mat_m, mat_b, fin, interval)
@@ -423,11 +476,47 @@ def lambda_star_detailed(m: MetricSpace) -> Tuple[Fraction, RunStats]:
                 lam = root
     if lam > interval.hi:
         raise InternalInvariantError("diagonal root escaped the bracket")
-    if _relax(rows, lam) is None:
+    if _relax(rows, lam)[0] is None:
         raise InternalInvariantError("negative cycle remains at the computed answer")
-    return lam, RunStats(iterations, max_breaks, probes, interval)
+    return lam, RunStats(iterations, max_breaks, probes, interval, "parametric", jumps)
 
 
-def lambda_star(m: MetricSpace) -> Fraction:
+def _newton(m: MetricSpace, rows: List[List[int]]) -> Tuple[Fraction, RunStats]:
+    """Cycle-ratio jumps from 1, the lower end of dilation_bounds; the
+    parametric engine finishes on [lam, hi] once the jumps hit _jump_cap
+    or a probe exposes no cycle.  hi is only computed then: its Fraction
+    comparisons would cost more than the jumps."""
+    lam, jumps = Fraction(1), 0
+    cap = _jump_cap(m.n)
+    while True:
+        lengths, ratio = _relax(rows, lam)
+        if lengths is not None:
+            return lam, RunStats(0, 0, jumps, Interval(lam, lam), "newton", jumps)
+        if ratio is None or jumps == cap:
+            _, hi = dilation_bounds(m)
+            return _parametric(rows, Interval(lam, hi), jumps + 1, jumps)
+        lam, jumps = ratio, jumps + 1
+
+
+def lambda_star_detailed(m: MetricSpace, *, engine: str = "newton") -> Tuple[Fraction, RunStats]:
+    """Exact optimal dilation plus run statistics.
+
+    engine is "newton" (cycle-ratio jumps, falling back to the
+    parametric search) or "parametric" (the paper's algorithm alone:
+    exactly ceil(log2(2n)) squarings).  Both give the same answer.
+    Internally the metric is scaled to integers once; the answer is a
+    ratio of sums of scaled distances, which scaling leaves unchanged,
+    so the returned value is in the original units.
+    """
+    if engine not in ENGINES:
+        raise DomainError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
+    require_two_sites(m.n)
+    rows, _ = scaled_int_rows(m.dist)
+    if engine == "parametric":
+        return _parametric(rows, Interval(*dilation_bounds(m)))
+    return _newton(m, rows)
+
+
+def lambda_star(m: MetricSpace, *, engine: str = "newton") -> Fraction:
     """Exact optimal star dilation of the metric space."""
-    return lambda_star_detailed(m)[0]
+    return lambda_star_detailed(m, engine=engine)[0]

@@ -23,6 +23,7 @@ from starspan import (
     verify_star,
 )
 from starspan.oracle import exact_lambda_by_cycles
+from starspan.parametric import ENGINES
 
 
 F = Fraction
@@ -54,27 +55,27 @@ def report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """Every instance the certificate and instrumentation criteria cover,
-    solved once: (metric, graph, embedding, run stats)."""
-    out = []
-    for text in (TWO_POINT, FOUR_CYCLE):
-        m = parse_metric(text)
-        s, stats = embed_detailed(m)
-        out.append((m, build_lambda_graph(m), s, stats))
-    for n, seed, model in SMALL_CASES + TRI_CASES + MID_CASES:
-        m = gen_random_metric(n, seed, model=model)
-        s, stats = embed_detailed(m)
-        out.append((m, build_lambda_graph(m), s, stats))
-    return out
+    """Every instance the certificate, instrumentation and cross-engine
+    criteria cover, solved once by each engine: (metric, graph,
+    {engine: (embedding, run stats)})."""
+    metrics = [parse_metric(text) for text in (TWO_POINT, FOUR_CYCLE)] + [
+        gen_random_metric(n, seed, model=model)
+        for n, seed, model in SMALL_CASES + TRI_CASES + MID_CASES
+    ]
+    return [
+        (m, build_lambda_graph(m), {e: embed_detailed(m, engine=e) for e in ENGINES})
+        for m in metrics
+    ]
 
 
 def test_criterion_1_oracle_agreement():
-    """Engine equals exhaustive cycle enumeration on 204 instances."""
+    """The paper's engine equals exhaustive cycle enumeration on 204
+    instances."""
     t0 = time.perf_counter()
     mismatches = []
     for n, seed, model in SMALL_CASES:
         m = gen_random_metric(n, seed, model=model)
-        got = lambda_star(m)
+        got = lambda_star(m, engine="parametric")
         want = exact_lambda_by_cycles(m)
         if got != want:
             mismatches.append((n, seed, model, got, want))
@@ -150,7 +151,8 @@ def test_criterion_5_certificates(corpus):
     negative-cycle witness just below lambda* whenever lambda* > 1."""
     bad = []
     probed_below = 0
-    for m, g, s, _ in corpus:
+    for m, g, solved in corpus:
+        s, _ = solved["newton"]
         lam = s.lambda_star
         if not verify_star(m, s).ok:
             bad.append(("verify", m.n, lam))
@@ -173,10 +175,12 @@ def test_criterion_5_certificates(corpus):
 
 
 def test_criterion_6_instrumentation(corpus):
-    """Breakpoint and iteration counts stay inside the proven bounds."""
+    """The paper's engine keeps its breakpoint and iteration counts
+    inside the proven bounds."""
     bad = []
     max_breaks = 0
-    for m, _, _, stats in corpus:
+    for m, _, solved in corpus:
+        _, stats = solved["parametric"]
         nv = 2 * m.n
         max_breaks = max(max_breaks, stats.max_breakpoints)
         if stats.max_breakpoints > nv - 1:
@@ -192,13 +196,14 @@ def test_criterion_6_instrumentation(corpus):
 
 
 def test_criterion_7_scaling():
-    """Wall time at n=128 under a minute; empirical exponent <= 3.6."""
+    """The paper's engine: wall time at n=128 under a minute; empirical
+    exponent <= 3.6."""
     sizes = (32, 64, 128, 256)
     times = []
     for n in sizes:
         m = gen_random_metric(n, 1)
         t0 = time.perf_counter()
-        embed_detailed(m)
+        embed_detailed(m, engine="parametric")
         times.append(time.perf_counter() - t0)
     slope = float(
         np.polyfit(np.log([float(n) for n in sizes]), np.log(times), 1)[0]
@@ -241,3 +246,22 @@ def test_criterion_9_published_figure_instance():
     is no instance to freeze. Recorded as excluded rather than faked."""
     print("ACCEPTANCE 9 figure-instance: SKIP (source figure underspecifies the metric)")
     pytest.skip("source figure does not pin down the full distance matrix")
+
+
+def test_criterion_10_cross_engine(corpus):
+    """Both engines give bit-identical embeddings on the whole corpus."""
+    bad = []
+    jumps = []
+    for m, _, solved in corpus:
+        (s_newton, stats), (s_param, _) = solved["newton"], solved["parametric"]
+        if s_newton != s_param:
+            bad.append((m.n, s_newton.lambda_star, s_param.lambda_star))
+        if stats.engine != "newton":
+            bad.append(("fell-back-to", stats.engine, m.n))
+        jumps.append(stats.jumps)
+    ok = not bad
+    detail = (
+        f"{len(corpus) - len(bad)}/{len(corpus)} bit-identical, "
+        f"Newton jumps mean {sum(jumps) / len(jumps):.2f}, max {max(jumps)}"
+    )
+    assert report(10, "cross-engine", ok, detail), bad[:5]

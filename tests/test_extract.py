@@ -138,7 +138,7 @@ class TestEmbed:
 
     def test_detailed_returns_stats(self):
         m = gen_random_metric(5, 11)
-        s, stats = embed_detailed(m)
+        s, stats = embed_detailed(m, engine="parametric")
         assert s == embed(m)
         assert stats.iterations == (2 * 5 - 1).bit_length()
 

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from starspan import (
@@ -16,6 +16,7 @@ from starspan import (
     MetricViolation,
     build_lambda_graph,
     dilation_bounds,
+    embed_detailed,
     gen_random_metric,
     has_negative_cycle,
     lambda_star,
@@ -56,7 +57,7 @@ def squarings(m, count):
     mat_m, mat_b, fin = parametric._d0_int(rows)
 
     def probe(t):
-        return parametric._relax(rows, t) is None
+        return parametric._relax(rows, t)[0] is None
 
     for k in range(1, count + 1):
         out_m, out_b, out_fin, pend_u, pend_v = parametric._square_int(mat_m, mat_b, fin, interval)
@@ -262,12 +263,13 @@ class TestRelax:
         checker does, and where a Fraction Bellman-Ford that never clears
         denominators does: at lambda*, lambda* +- 1/10**6 and random
         points of the bracket, on random, tie-heavy {1, 2} and big-prime
-        rational instances, on both dtype paths."""
+        rational instances, on both dtype paths.  A negative probe's
+        cycle ratio, when it has one, lies in (lam, lambda*]."""
         if limit is not None:
             monkeypatch.setattr(parametric, "_INT64_VALUE_LIMIT", limit)
         rng = random.Random(71)
         eps = F(1, 10 ** 6)
-        negatives = 0
+        negatives = ratios = 0
         for i in range(24 + len(BIG_PRIMES)):
             n = rng.randint(2, 8)
             if i >= 24:
@@ -282,11 +284,14 @@ class TestRelax:
             lo, hi = dilation_bounds(m)
             lams = [star, star - eps, star + eps] + [rand_fraction(rng, lo, hi, 1000) for _ in range(3)]
             for lam in lams:
-                negative = parametric._relax(rows, lam) is None
+                lengths, ratio = parametric._relax(rows, lam)
+                negative = lengths is None
                 assert negative == (has_negative_cycle(g, lam) is not None), (m.dist, lam)
                 assert negative == (reference_path_lengths(g, lam) is None), (m.dist, lam)
+                assert ratio is None or (negative and lam < ratio <= star), (m.dist, lam)
                 negatives += negative
-        assert negatives > 0
+                ratios += ratio is not None
+        assert negatives > 0 and ratios > 0
 
 
 class TestLambdaStar:
@@ -324,7 +329,7 @@ class TestLambdaStar:
     def test_iteration_count_and_stats(self):
         for n in (2, 3, 5, 8, 13):
             m = gen_random_metric(n, 4) if n > 2 else parse_metric(TWO_POINT)
-            star, stats = lambda_star_detailed(m)
+            star, stats = lambda_star_detailed(m, engine="parametric")
             assert stats.iterations == (2 * n - 1).bit_length()
             assert stats.max_breakpoints <= 2 * n - 1
             assert stats.final_interval.contains(star)
@@ -339,7 +344,8 @@ class TestLambdaStar:
         # exercises the arbitrary-precision path on a real instance.
         primes = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549]
         m = prime_metric(4, primes)
-        assert lambda_star(m) == exact_lambda_by_cycles(m)
+        want = exact_lambda_by_cycles(m)
+        assert [lambda_star(m, engine=e) for e in parametric.ENGINES] == [want, want]
 
     def test_object_dtype_path_matches(self, monkeypatch):
         # Shrink the int64 certification limit so every squaring takes
@@ -357,6 +363,10 @@ class TestLambdaStar:
     def test_rejects_single_site(self):
         with pytest.raises(DomainError):
             lambda_star(parse_metric("0"))
+
+    def test_rejects_unknown_engine(self):
+        with pytest.raises(DomainError):
+            lambda_star(parse_metric(TWO_POINT), engine="simplex")
 
 
 # Large primes as denominators: clearing them scales the metric far past
@@ -389,16 +399,68 @@ def adversarial_metrics(draw):
 
 
 class TestAdversarial:
+    most_jumps = 0
+
     @given(adversarial_metrics())
     @settings(deadline=None, max_examples=100, derandomize=True)
     def test_matches_cycle_enumeration_on_both_dtype_paths(self, m):
+        """Both engines, on both dtype paths, against the enumeration
+        oracle, with the search steered toward many Newton jumps."""
         want = exact_lambda_by_cycles(m)
-        star, stats = lambda_star_detailed(m)
-        assert star == want
-        assert stats.final_interval.contains(star)
+        got = {}
+        for engine in parametric.ENGINES:
+            s, stats = embed_detailed(m, engine=engine)
+            assert s.lambda_star == want
+            with mock.patch.object(parametric, "_INT64_VALUE_LIMIT", 1):
+                assert embed_detailed(m, engine=engine) == (s, stats)
+            got[engine] = s, stats
+        assert got["newton"][0] == got["parametric"][0]
+        stats = got["parametric"][1]
+        assert stats.final_interval.contains(want)
         assert stats.max_breakpoints <= 2 * m.n - 1
-        with mock.patch.object(parametric, "_INT64_VALUE_LIMIT", 1):
-            assert lambda_star_detailed(m) == (star, stats)
+        jumps = got["newton"][1].jumps
+        target(jumps)
+        if jumps > TestAdversarial.most_jumps:
+            TestAdversarial.most_jumps = jumps
+            print(f"TestAdversarial: most Newton jumps so far {jumps} (n = {m.n})")
+
+
+class TestNewton:
+    # gen_random_metric(n, seed) instances that take at least two jumps.
+    CASES = [(6, 3), (9, 0), (12, 4), (24, 1)]
+
+    def metrics(self):
+        return [gen_random_metric(n, seed) for n, seed in self.CASES]
+
+    def test_stats(self):
+        for m in self.metrics():
+            star, stats = lambda_star_detailed(m)
+            assert stats.engine == "newton" and stats.jumps >= 2
+            assert stats.iterations == stats.max_breakpoints == 0
+            assert stats.probe_count == stats.jumps
+            assert stats.final_interval == Interval(star, star)
+            assert star == lambda_star(m, engine="parametric")
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            pytest.param(("_jump_cap", lambda n: 0), id="cap-0"),
+            pytest.param(("_jump_cap", lambda n: 1), id="cap-1"),
+            pytest.param(("_negative_pred_cycle", lambda *a: None), id="no-cycle"),
+        ],
+    )
+    def test_fallback_to_parametric(self, patch):
+        """The parametric engine finishes from where the jumps stopped
+        and returns the uncapped run's embedding."""
+        for m in self.metrics():
+            want, _ = embed_detailed(m)
+            with mock.patch.object(parametric, *patch):
+                s, stats = embed_detailed(m)
+            cap = patch[1](m.n) if patch[0] == "_jump_cap" else 0
+            assert s == want
+            assert stats.engine == "parametric" and stats.jumps == cap
+            assert stats.iterations == (2 * m.n - 1).bit_length()
+            assert stats.final_interval.contains(want.lambda_star)
 
 
 class TestInterval:
