@@ -35,7 +35,7 @@ from .metric import (
     verify_star,
 )
 from .oracle import MAX_EXACT_SITES, bisect_lambda, exact_lambda_by_cycles
-from .parametric import ENGINES, lambda_star
+from .parametric import lambda_star
 
 RESULT_SCHEMA = 1
 
@@ -90,7 +90,7 @@ def _embed_result(m: MetricSpace, s: StarEmbedding, wall: float) -> dict:
 def cmd_embed(args) -> int:
     m = _load_metric(args.metric, args.format)
     t0 = time.perf_counter()
-    s, _ = embed_detailed(m, engine=args.engine)
+    s, _ = embed_detailed(m)
     wall = time.perf_counter() - t0
     doc = json.dumps(_embed_result(m, s, wall), indent=1) + "\n"
     if args.output and args.output != "-":
@@ -102,7 +102,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    lam = lambda_star(_load_metric(args.metric, args.format), engine=args.engine)
+    lam = lambda_star(_load_metric(args.metric, args.format))
     print(f"{lam} {rational_to_decimal_str(lam)}")
     return 0
 
@@ -222,24 +222,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="input format (default: matrix)",
         )
 
-    def add_engine_arg(sp):
-        sp.add_argument(
-            "--engine",
-            choices=ENGINES,
-            default="newton",
-            help="newton: cycle-ratio jumps, falling back to parametric; "
-            "parametric: the paper's search alone (default: newton)",
-        )
-
     sp = sub.add_parser("embed", help="compute an optimal star embedding")
     add_metric_arg(sp)
-    add_engine_arg(sp)
     sp.add_argument("--output", "-o", help="write JSON here instead of stdout")
     sp.set_defaults(fn=cmd_embed)
 
     sp = sub.add_parser("lambda", help="print only the optimal dilation")
     add_metric_arg(sp)
-    add_engine_arg(sp)
     sp.set_defaults(fn=cmd_lambda)
 
     sp = sub.add_parser("verify", help="check a claimed embedding")

@@ -78,20 +78,18 @@ def hub_lengths(pl: PathLengths, n: int) -> List[Fraction]:
     return out
 
 
-def embed_detailed(m: MetricSpace, *, engine: str = "newton") -> Tuple[StarEmbedding, RunStats]:
-    """Optimal star embedding plus search statistics; engine as for
-    lambda_star_detailed."""
-    lam, stats = lambda_star_detailed(m, engine=engine)
+def embed_detailed(m: MetricSpace) -> Tuple[StarEmbedding, RunStats]:
+    """Optimal star embedding plus search statistics."""
+    lam, stats = lambda_star_detailed(m)
     pl = source_path_lengths(m, lam)
     c = hub_lengths(pl, m.n)
     return StarEmbedding(m.labels, tuple(c), lam), stats
 
 
-def embed(m: MetricSpace, *, engine: str = "newton") -> StarEmbedding:
+def embed(m: MetricSpace) -> StarEmbedding:
     """Optimal star embedding of a finite metric space.
 
     The returned hub edge lengths satisfy every pair constraint at the
-    returned dilation, and no star over these sites does better.  Both
-    engines return the same embedding.
+    returned dilation, and no star over these sites does better.
     """
-    return embed_detailed(m, engine=engine)[0]
+    return embed_detailed(m)[0]

@@ -17,8 +17,8 @@ lambda* and strictly above the lam that exposed it, so the first clean
 probe is at lambda* exactly and is also the final check.  No polynomial
 bound is known for the number of jumps driven by an arbitrary witness,
 so after ceil(log2(2n))**2 of them, or when a probe proves a negative
-cycle without exposing one, the engine hands the bracket [lam, hi] to
-the parametric engine.  A probe costs O(n**3), so the jumps cost at
+cycle without exposing one, the engine hands the bracket [lo, hi] to
+the parametric engine, lo being the last ratio found.  A probe costs O(n**3), so the jumps cost at
 most O(n**3 log**2 n), within the parametric engine's own bound.
 
 The parametric engine is the paper's algorithm, kept as the reference
@@ -483,8 +483,9 @@ def _parametric(
 
 def _newton(m: MetricSpace, rows: List[List[int]]) -> Tuple[Fraction, RunStats]:
     """Cycle-ratio jumps from 1, the lower end of dilation_bounds; the
-    parametric engine finishes on [lam, hi] once the jumps hit _jump_cap
-    or a probe exposes no cycle.  hi is only computed then: its Fraction
+    parametric engine finishes on [lo, hi] once the jumps hit _jump_cap
+    or a probe exposes no cycle, lo being the last ratio found (or the
+    last lam probed, when there is none).  hi is only computed then: its Fraction
     comparisons would cost more than the jumps."""
     lam, jumps = Fraction(1), 0
     cap = _jump_cap(m.n)
@@ -494,7 +495,8 @@ def _newton(m: MetricSpace, rows: List[List[int]]) -> Tuple[Fraction, RunStats]:
             return lam, RunStats(0, 0, jumps, Interval(lam, lam), "newton", jumps)
         if ratio is None or jumps == cap:
             _, hi = dilation_bounds(m)
-            return _parametric(rows, Interval(lam, hi), jumps + 1, jumps)
+            lo = lam if ratio is None else ratio
+            return _parametric(rows, Interval(lo, hi), jumps + 1, jumps)
         lam, jumps = ratio, jumps + 1
 
 
@@ -503,7 +505,9 @@ def lambda_star_detailed(m: MetricSpace, *, engine: str = "newton") -> Tuple[Fra
 
     engine is "newton" (cycle-ratio jumps, falling back to the
     parametric search) or "parametric" (the paper's algorithm alone:
-    exactly ceil(log2(2n)) squarings).  Both give the same answer.
+    exactly ceil(log2(2n)) squarings).  Both give the same answer; the
+    parametric engine is there as the reference the Newton engine is
+    checked against.
     Internally the metric is scaled to integers once; the answer is a
     ratio of sums of scaled distances, which scaling leaves unchanged,
     so the returned value is in the original units.
@@ -517,6 +521,6 @@ def lambda_star_detailed(m: MetricSpace, *, engine: str = "newton") -> Tuple[Fra
     return _newton(m, rows)
 
 
-def lambda_star(m: MetricSpace, *, engine: str = "newton") -> Fraction:
+def lambda_star(m: MetricSpace) -> Fraction:
     """Exact optimal star dilation of the metric space."""
-    return lambda_star_detailed(m, engine=engine)[0]
+    return lambda_star_detailed(m)[0]

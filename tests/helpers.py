@@ -10,11 +10,27 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
-from starspan import LambdaGraph, MetricSpace
+from starspan import (
+    LambdaGraph,
+    MetricSpace,
+    RunStats,
+    StarEmbedding,
+    hub_lengths,
+    lambda_star_detailed,
+    source_path_lengths,
+)
 
 # Parameter values for _INT64_VALUE_LIMIT: the default, and 1, which
 # forces every numpy kernel onto exact big-integer object arrays.
 DTYPE_PATHS = [pytest.param(None, id="int64"), pytest.param(1, id="object")]
+
+
+def embed_with(m: MetricSpace, engine: str) -> Tuple[StarEmbedding, RunStats]:
+    """embed_detailed(m) with lambda* from the named engine, so the
+    paper's parametric engine can be checked and timed on its own."""
+    lam, stats = lambda_star_detailed(m, engine=engine)
+    c = hub_lengths(source_path_lengths(m, lam), m.n)
+    return StarEmbedding(m.labels, tuple(c), lam), stats
 
 
 def rand_fraction(rng, lo, hi, den_max=10) -> Fraction:

@@ -63,14 +63,13 @@ class TestEmbed:
 
     def test_matches_library(self, capsys, two_point_file, tmp_path):
         out_path = tmp_path / "emb.json"
-        for engine in ([], ["--engine", "newton"], ["--engine", "parametric"]):
-            code, _, _ = run(capsys, "embed", two_point_file, "-o", str(out_path), *engine)
-            assert code == 0
-            doc = json.loads(out_path.read_text())
-            s = embed(parse_metric(TWO_POINT))
-            assert F(doc["lambda_star"]["exact"]) == s.lambda_star
-            for i, label in enumerate(s.labels):
-                assert F(doc["hub_edges"][label]["exact"]) == s.hub_len[i]
+        code, _, _ = run(capsys, "embed", two_point_file, "-o", str(out_path))
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        s = embed(parse_metric(TWO_POINT))
+        assert F(doc["lambda_star"]["exact"]) == s.lambda_star
+        for i, label in enumerate(s.labels):
+            assert F(doc["hub_edges"][label]["exact"]) == s.hub_len[i]
 
     def test_malformed_input_exits_2(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
@@ -136,17 +135,6 @@ class TestLambda:
             code, out, _ = run(capsys, "lambda", str(p))
             assert code == 0
             assert out.split()[0] == want
-
-    def test_engines_print_the_same(self, capsys, tmp_path):
-        texts = [TWO_POINT, FOUR_CYCLE] + [
-            metric_to_matrix_text(gen_random_metric(12, seed)) for seed in (3, 8)
-        ]
-        for i, text in enumerate(texts):
-            p = tmp_path / f"m{i}.txt"
-            p.write_text(text)
-            outs = [run(capsys, "lambda", str(p), "--engine", e) for e in ("newton", "parametric")]
-            assert outs[0] == outs[1] == run(capsys, "lambda", str(p))
-            assert outs[0][0] == 0
 
     def test_prints_fraction_and_decimal(self, capsys, tmp_path):
         p = tmp_path / "m.txt"

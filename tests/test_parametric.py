@@ -28,6 +28,7 @@ from starspan.metric import scaled_int_rows
 from starspan.oracle import exact_lambda_by_cycles
 from helpers import (
     DTYPE_PATHS,
+    embed_with,
     min_walk_weights,
     ones_twos_metric,
     prime_metric,
@@ -90,7 +91,7 @@ class TestInitialInterval:
             m = parse_metric(text)
             r = Interval(*dilation_bounds(m))
             assert r == Interval(F(1), F(hi))
-            _, stats = lambda_star_detailed(m)
+            _, stats = lambda_star_detailed(m, engine="parametric")
             assert r.lo <= stats.final_interval.lo <= stats.final_interval.hi <= r.hi
 
 
@@ -345,19 +346,21 @@ class TestLambdaStar:
         primes = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549]
         m = prime_metric(4, primes)
         want = exact_lambda_by_cycles(m)
-        assert [lambda_star(m, engine=e) for e in parametric.ENGINES] == [want, want]
+        assert [lambda_star_detailed(m, engine=e)[0] for e in parametric.ENGINES] == [want, want]
 
     def test_object_dtype_path_matches(self, monkeypatch):
-        # Shrink the int64 certification limit so every squaring takes
-        # the big-integer code path, then require identical answers.
+        # Shrink the int64 certification limit so every squaring and
+        # probe takes the big-integer code path, then require identical
+        # answers and run statistics.
         rng = random.Random(73)
         cases = [parse_metric(FOUR_CYCLE)] + [
             gen_random_metric(rng.randint(3, 5), rng.randint(0, 10 ** 6))
             for _ in range(5)
         ]
-        want = [lambda_star(m) for m in cases]
+        runs = [(m, e) for m in cases for e in parametric.ENGINES]
+        want = [lambda_star_detailed(m, engine=e) for m, e in runs]
         monkeypatch.setattr(parametric, "_INT64_VALUE_LIMIT", 1)
-        got = [lambda_star(m) for m in cases]
+        got = [lambda_star_detailed(m, engine=e) for m, e in runs]
         assert got == want
 
     def test_rejects_single_site(self):
@@ -366,7 +369,7 @@ class TestLambdaStar:
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(DomainError):
-            lambda_star(parse_metric(TWO_POINT), engine="simplex")
+            lambda_star_detailed(parse_metric(TWO_POINT), engine="simplex")
 
 
 # Large primes as denominators: clearing them scales the metric far past
@@ -409,10 +412,10 @@ class TestAdversarial:
         want = exact_lambda_by_cycles(m)
         got = {}
         for engine in parametric.ENGINES:
-            s, stats = embed_detailed(m, engine=engine)
+            s, stats = embed_with(m, engine)
             assert s.lambda_star == want
             with mock.patch.object(parametric, "_INT64_VALUE_LIMIT", 1):
-                assert embed_detailed(m, engine=engine) == (s, stats)
+                assert embed_with(m, engine) == (s, stats)
             got[engine] = s, stats
         assert got["newton"][0] == got["parametric"][0]
         stats = got["parametric"][1]
@@ -439,7 +442,7 @@ class TestNewton:
             assert stats.iterations == stats.max_breakpoints == 0
             assert stats.probe_count == stats.jumps
             assert stats.final_interval == Interval(star, star)
-            assert star == lambda_star(m, engine="parametric")
+            assert star == lambda_star_detailed(m, engine="parametric")[0]
 
     @pytest.mark.parametrize(
         "patch",
