@@ -129,7 +129,8 @@ def _parse_star_doc(text: str, m: MetricSpace) -> StarEmbedding:
     if not isinstance(hub, dict):
         raise ParseError('"hub_edges" must map site labels to lengths')
     missing = [lab for lab in m.labels if lab not in hub]
-    extra = [lab for lab in hub if lab not in m.labels]
+    known = set(m.labels)
+    extra = [lab for lab in hub if lab not in known]
     if missing or extra:
         raise ParseError(
             f"hub_edges labels do not match the metric (missing {missing}, extra {extra})"

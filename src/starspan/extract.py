@@ -32,7 +32,7 @@ from .errors import InternalInvariantError, NegativeCycleError
 # importable from here.
 from .lgraph import build_lambda_graph  # noqa: F401
 from .lgraph import over_vertex, under_vertex
-from .metric import MetricSpace, Rational, StarEmbedding, require_two_sites, scaled_int_rows
+from .metric import MetricSpace, Rational, StarEmbedding, require_two_sites
 from .parametric import RunStats, _relax, lambda_star_detailed
 
 
@@ -54,7 +54,7 @@ def source_path_lengths(m: MetricSpace, lam_star: Rational) -> PathLengths:
     n = m.n
     require_two_sites(n)
     lam = Fraction(lam_star)
-    rows, scale = scaled_int_rows(m.dist)
+    rows, scale = m.scaled_ints
     lengths, _ = _relax(rows, lam)
     if lengths is None:
         raise NegativeCycleError(f"negative cycle at lam = {lam}")

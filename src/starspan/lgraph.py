@@ -21,23 +21,23 @@ Here the graph (LambdaGraph) is explicit, for the oracle and the tests,
 with the exact lines that weigh its edges and cycles (LinearFn, add).
 has_negative_cycle is the independent pure-Python checker they compare
 the solver against: at lam = p/q it weighs each edge on the
-scaled_int_rows matrix D as p*D[s][t] or -q*D[s][t], the exact weight
-times one positive constant, relaxes in plain integers over a fixed
-sorted edge order, and returns a CycleWitness verified on the lines.
-D and the edge lines are prepared once per graph, on the first probe,
-so repeated probes (bisect_lambda, check_optimal) clear the distance
-matrix only once.
+metric's denominator-cleared matrix D (MetricSpace.scaled_ints) as
+p*D[s][t] or -q*D[s][t], the exact weight times one positive constant,
+relaxes in plain integers over a fixed sorted edge order, and returns a
+CycleWitness verified on the lines.  The integer edges and the edge
+lines are prepared once per graph, on the first probe, and shared by
+repeated probes (bisect_lambda, check_optimal).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalInvariantError
-from .metric import MetricSpace, Rational, require_two_sites, scaled_int_rows
+from .metric import IntRows, MetricSpace, Rational, require_two_sites
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,8 @@ class LambdaGraph:
     labels: Tuple[str, ...]
     dist: Tuple[Tuple[Fraction, ...], ...]
     edges: Tuple[Tuple[int, int, LinearFn], ...]
+    # The metric's scaled_ints rows: dist with denominators cleared.
+    int_rows: IntRows = field(repr=False, compare=False)
 
     @property
     def vertices(self) -> Tuple[int, ...]:
@@ -99,10 +101,10 @@ class LambdaGraph:
     ) -> Tuple[List[Tuple[int, int, int, int]], Dict[Tuple[int, int], LinearFn]]:
         """What has_negative_cycle needs at every lam, built on its first
         call: each edge as (from, to, a, b), weighing (a*p + b*q) / (q *
-        scale) at lam = p/q on the scaled_int_rows matrix, and each
-        edge's line by (from, to)."""
+        scale) at lam = p/q on int_rows, and each edge's line by
+        (from, to)."""
         n = self.site_count
-        rows, _ = scaled_int_rows(self.dist)
+        rows = self.int_rows
         edges = [(u, v, rows[u][v - n], 0) if u < n else (u, v, 0, -rows[u - n][v])
                  for u, v, _ in self.edges]
         return edges, {(u, v): e for u, v, e in self.edges}
@@ -123,7 +125,7 @@ def build_lambda_graph(m: MetricSpace) -> LambdaGraph:
                     (over_vertex(s, n), under_vertex(t, n), LinearFn(m.dist[s][t], 0))
                 )
     edges.sort(key=lambda e: (e[0], e[1]))
-    return LambdaGraph(n, m.labels, m.dist, tuple(edges))
+    return LambdaGraph(n, m.labels, m.dist, tuple(edges), m.scaled_ints[0])
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .errors import DomainError, MetricViolation, ParseError
 
 # An exact rational; plain ints are accepted anywhere a Fraction is.
 Rational = Union[int, Fraction]
+# A denominator-cleared distance matrix, as MetricSpace keeps it.
+IntRows = Tuple[Tuple[int, ...], ...]
 
 
 def to_rational(value) -> Fraction:
@@ -49,6 +51,31 @@ def to_rational(value) -> Fraction:
     )
 
 
+def _read_rows(rows: Iterable[Iterable[object]]) -> List[List[Fraction]]:
+    """The entries of either input format as exact rationals, row by row.
+
+    Each distinct string is read once per call, and rows share its
+    Fraction, which is immutable; a plain ASCII digit string is read
+    with int().  Every other entry goes through to_rational, which gives
+    its value or its ParseError as it would alone.
+    """
+    seen: Dict[str, Fraction] = {}
+
+    def read(v) -> Fraction:
+        if type(v) is not str:
+            return to_rational(v)
+        x = seen.get(v)
+        if x is None:
+            try:
+                x = Fraction(int(v)) if v.isascii() and v.isdigit() else to_rational(v)
+            except ValueError:  # more digits than int() will read
+                x = to_rational(v)
+            seen[v] = x
+        return x
+
+    return [[read(v) for v in row] for row in rows]
+
+
 def scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], int]:
     """Clear denominators: returns (integer matrix, scale L) with L*d integral.
 
@@ -56,18 +83,30 @@ def scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]]
     computation downstream relies on.
     """
     scale = math.lcm(*{v.denominator for row in rows for v in row})
+    if scale == 1:
+        # Integer entries: reuse their int objects, so a MetricSpace that
+        # keeps the matrix adds only the row containers to its memory.
+        return [[v.numerator for v in row] for row in rows], 1
     out = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
     return out, scale
 
 
-def _first_triangle_violation(rows_int):
+# Integer arrays are int64 while every value formed from them stays below
+# this in absolute value, so that a sum of two still fits; otherwise they
+# hold exact Python integers (dtype object).
+_INT64_LIMIT = 1 << 61
+
+
+def _int_array(rows, big: int) -> np.ndarray:
+    """rows as an int64 array when big, a bound on every absolute value
+    the caller will form from them, is below _INT64_LIMIT; else as exact
+    Python integers."""
+    return np.array(rows, dtype=np.int64 if big < _INT64_LIMIT else object)
+
+
+def _first_triangle_violation(mat: np.ndarray):
     """First (i, k, j) with d(i,j) > d(i,k) + d(k,j), scanning k outermost."""
-    big = 0
-    for row in rows_int:
-        big = max(big, max(row))
-    dtype = np.int64 if big < 2**61 else object
-    mat = np.array(rows_int, dtype=dtype)
-    for k in range(len(rows_int)):
+    for k in range(mat.shape[0]):
         bad = mat > mat[:, k : k + 1] + mat[k : k + 1, :]
         if bad.any():
             i, j = (int(x) for x in np.argwhere(bad)[0])
@@ -75,14 +114,10 @@ def _first_triangle_violation(rows_int):
     return None
 
 
-def _check_metric(labels, rows):
+def _scan_pairs(labels, rows) -> None:
+    """Raise the first diagonal, symmetry or positivity violation, in
+    the order: diagonal of row i, then the pairs (i, j > i) of that row."""
     n = len(labels)
-    if n < 1:
-        raise DomainError("a metric space needs at least one site")
-    if len(set(labels)) != n:
-        raise DomainError("site labels must be distinct")
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DomainError(f"distance matrix must be {n}x{n}")
     for i in range(n):
         if rows[i][i] != 0:
             raise MetricViolation(
@@ -100,8 +135,31 @@ def _check_metric(labels, rows):
                     f"d({labels[i]},{labels[j]}) = {rows[i][j]} is not positive",
                     sites=(i, j),
                 )
-    rows_int, _ = scaled_int_rows(rows)
-    hit = _first_triangle_violation(rows_int)
+
+
+def _check_metric(labels, rows) -> Tuple[IntRows, int]:
+    """Validate the metric; return its scaled_int_rows, as tuples.
+
+    The pair and triangle checks run on the denominator-cleared integer
+    matrix, where they give the same verdicts as on the Fractions; only
+    a violation found there is worded by the Fraction scan.
+    """
+    n = len(labels)
+    if n < 1:
+        raise DomainError("a metric space needs at least one site")
+    if len(set(labels)) != n:
+        raise DomainError("site labels must be distinct")
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DomainError(f"distance matrix must be {n}x{n}")
+    rows_int, scale = scaled_int_rows(rows)
+    mat = _int_array(rows_int, max(max(max(r), -min(r)) for r in rows_int))
+    if (
+        (np.diagonal(mat) != 0).any()
+        or (mat != mat.T).any()
+        or (mat[~np.eye(n, dtype=bool)] <= 0).any()
+    ):
+        _scan_pairs(labels, rows)
+    hit = _first_triangle_violation(mat)
     if hit is not None:
         i, k, j = hit
         raise MetricViolation(
@@ -109,6 +167,7 @@ def _check_metric(labels, rows):
             f"d = {rows[i][j]} > {rows[i][k]} + {rows[k][j]}",
             sites=(i, k, j),
         )
+    return tuple(map(tuple, rows_int)), scale
 
 
 @dataclass(frozen=True)
@@ -117,19 +176,29 @@ class MetricSpace:
 
     Construction validates everything: squareness, zero diagonal, strict
     positivity off the diagonal, symmetry, and all n^3 triangle
-    inequalities (checked on a denominator-cleared integer matrix, so the
-    check is exact at any size).
+    inequalities.  The checks run on the denominator-cleared integer
+    matrix, so they are exact at any size, and the instance keeps that
+    matrix: scaled_ints is scaled_int_rows(dist) as tuples, (rows, L)
+    with rows[i][j] = L * d(i, j), which the solver, the hub extraction
+    and verify_star read instead of clearing denominators again.  It
+    takes no part in ==, hash or repr.
     """
 
     labels: Tuple[str, ...]
     dist: Tuple[Tuple[Fraction, ...], ...]
+    scaled_ints: Tuple[IntRows, int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
-        rows = tuple(tuple(to_rational(v) for v in row) for row in self.dist)
+        rows = tuple(
+            tuple(v if type(v) is Fraction else to_rational(v) for v in row)
+            for row in self.dist
+        )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", rows)
-        _check_metric(labels, rows)
+        object.__setattr__(self, "scaled_ints", _check_metric(labels, rows))
 
     @property
     def n(self) -> int:
@@ -158,11 +227,14 @@ def dilation_bounds(m: MetricSpace) -> Tuple[Fraction, Fraction]:
     1 is a lower bound because some pair always has c_v + c_w >= d(v, w)
     tight or worse.  The upper end is witnessed by the star with every
     hub edge equal to the largest distance D: it is feasible for
-    lam = 2D / min_d, so the optimum cannot exceed that.
+    lam = 2D / min_d, so the optimum cannot exceed that.  The ratio is
+    taken on m.scaled_ints, where the scale cancels.
     """
     require_two_sites(m.n)
-    off = [m.dist[i][j] for i in range(m.n) for j in range(i + 1, m.n)]
-    return Fraction(1), Fraction(2) * max(off) / min(off)
+    rows, _ = m.scaled_ints
+    big = max(map(max, rows))
+    small = min(min(row[:i] + row[i + 1 :]) for i, row in enumerate(rows))
+    return Fraction(1), Fraction(2 * big, small)
 
 
 def star_dilation(m: MetricSpace, c: Sequence[Rational]) -> Fraction:
@@ -223,30 +295,47 @@ class VerificationReport:
 
 def verify_star(m: MetricSpace, s: StarEmbedding) -> VerificationReport:
     """Check every constraint of s against m exactly; never raises on
-    mere infeasibility, only on a label mismatch."""
+    mere infeasibility, only on a label or length mismatch.
+
+    Violations come in order: constraint 1 by site, then the pairs i < j
+    in row-major order, constraint 2 before 3 on the same pair.  The pair
+    constraints are compared on integers: with hubs c = h/H, lambda = p/q
+    and d = D/L (m.scaled_ints), c_i + c_j < d_ij is (h_i + h_j)*L <
+    D_ij*H, and c_i + c_j > lambda*d_ij is (h_i + h_j)*L*q > p*D_ij*H.
+    """
     if s.labels != m.labels:
         raise DomainError("embedding labels do not match the metric's sites")
-    out = []
-    for i, c in enumerate(s.hub_len):
-        if c < 0:
-            out.append(Violation(1, (i,), f"c[{m.labels[i]}] = {c} < 0"))
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            tot = s.hub_len[i] + s.hub_len[j]
-            d = m.dist[i][j]
-            pair = f"({m.labels[i]},{m.labels[j]})"
-            if tot < d:
-                out.append(
-                    Violation(2, (i, j), f"c+c = {tot} < d = {d} at {pair}")
+    if len(s.hub_len) != m.n:
+        raise DomainError(f"expected {m.n} hub edge lengths, got {len(s.hub_len)}")
+    out = [
+        Violation(1, (i,), f"c[{m.labels[i]}] = {c} < 0")
+        for i, c in enumerate(s.hub_len)
+        if c < 0
+    ]
+    (hubs,), hub_scale = scaled_int_rows([s.hub_len])
+    rows, scale = m.scaled_ints
+    p, q = s.lambda_star.numerator, s.lambda_star.denominator
+    big = max(2 * max(map(abs, hubs)), max(map(max, rows)), 1)
+    big *= scale * hub_scale * max(abs(p), q)
+    h = _int_array(hubs, big)
+    lhs = (h[:, None] + h[None, :]) * scale
+    rhs = _int_array(rows, big) * hub_scale
+    below = lhs < rhs
+    above = lhs * q > rhs * p
+    for i, j in np.argwhere(np.triu(below | above, 1)).tolist():
+        tot = s.hub_len[i] + s.hub_len[j]
+        d = m.dist[i][j]
+        pair = f"({m.labels[i]},{m.labels[j]})"
+        if below[i, j]:
+            out.append(Violation(2, (i, j), f"c+c = {tot} < d = {d} at {pair}"))
+        if above[i, j]:
+            out.append(
+                Violation(
+                    3,
+                    (i, j),
+                    f"c+c = {tot} > lambda*d = {s.lambda_star * d} at {pair}",
                 )
-            if tot > s.lambda_star * d:
-                out.append(
-                    Violation(
-                        3,
-                        (i, j),
-                        f"c+c = {tot} > lambda*d = {s.lambda_star * d} at {pair}",
-                    )
-                )
+            )
     return VerificationReport(tuple(out))
 
 
@@ -322,7 +411,7 @@ def _parse_matrix(text: str):
         lines = lines[1:]
     if not lines:
         raise ParseError("no matrix rows found")
-    rows = [[to_rational(tok) for tok in ln.split()] for ln in lines]
+    rows = _read_rows(ln.split() for ln in lines)
     return labels, rows
 
 
@@ -340,7 +429,7 @@ def _parse_json(text: str):
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ParseError('"points" must be a list of strings')
-    rows = [[to_rational(v) for v in row] for row in dists]
+    rows = _read_rows(dists)
     return labels, rows
 
 

@@ -1,8 +1,9 @@
 """Independent ground truth for the optimal star dilation.
 
-Three cross-checks that take a MetricSpace and share only one helper
-with the production search, metric.scaled_int_rows (test_metric checks
-it against a per-entry formulation):
+Three cross-checks that take a MetricSpace and share only its
+denominator-cleared matrix with the production search (scaled_ints, made
+by metric.scaled_int_rows, which test_metric checks against a per-entry
+formulation):
 
 * exhaustive enumeration of simple cycles in the comparison graph, whose
   best weight ratio IS the optimal dilation (small n only);
@@ -30,7 +31,6 @@ from .metric import (
     Rational,
     dilation_bounds,
     require_two_sites,
-    scaled_int_rows,
     verify_star,
 )
 
@@ -63,7 +63,7 @@ def best_cycle_ratio(m: MetricSpace) -> CycleRatio:
     require_two_sites(n)
     if n > MAX_EXACT_SITES:
         raise SizeError(f"exact cycle enumeration is capped at {MAX_EXACT_SITES} sites")
-    rows, _ = scaled_int_rows(m.dist)
+    rows, _ = m.scaled_ints
     best_num, best_den = 0, 1
     best_pairs: List[Tuple[int, int]] = []
     used_a = [False] * n

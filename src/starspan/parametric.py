@@ -64,12 +64,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, InternalInvariantError
-from .metric import MetricSpace, Rational, dilation_bounds, require_two_sites, scaled_int_rows
+from .metric import MetricSpace, Rational, dilation_bounds, require_two_sites
 
 
 _INT64_VALUE_LIMIT = 1 << 58
@@ -280,7 +280,7 @@ def _binary_search_interval(
 
 
 def _relax(
-    rows: List[List[int]], t: Fraction
+    rows: Sequence[Sequence[int]], t: Fraction
 ) -> Tuple[Optional[Tuple[np.ndarray, np.ndarray]], Optional[Fraction]]:
     """Exact Bellman-Ford on the comparison graph of an integer distance
     matrix at parameter t = p/q, from a super-source with a zero-weight
@@ -386,7 +386,7 @@ def _negative_pred_cycle(pred: np.ndarray, mat: np.ndarray, t: Fraction) -> Opti
     return best
 
 
-def _d0_int(rows: List[List[int]]):
+def _d0_int(rows: Sequence[Sequence[int]]):
     """Packed integer hop matrix for at-most-one-edge walks."""
     n = len(rows)
     nv = 2 * n
@@ -441,7 +441,7 @@ def _jump_cap(n: int) -> int:
 
 
 def _parametric(
-    rows: List[List[int]], interval: Interval, probes: int = 0, jumps: int = 0
+    rows: Sequence[Sequence[int]], interval: Interval, probes: int = 0, jumps: int = 0
 ) -> Tuple[Fraction, RunStats]:
     """The paper's search on the bracket interval, which must hold the
     answer.  probes and jumps are carried over from a Newton run."""
@@ -481,12 +481,11 @@ def _parametric(
     return lam, RunStats(iterations, max_breaks, probes, interval, "parametric", jumps)
 
 
-def _newton(m: MetricSpace, rows: List[List[int]]) -> Tuple[Fraction, RunStats]:
+def _newton(m: MetricSpace, rows: Sequence[Sequence[int]]) -> Tuple[Fraction, RunStats]:
     """Cycle-ratio jumps from 1, the lower end of dilation_bounds; the
     parametric engine finishes on [lo, hi] once the jumps hit _jump_cap
     or a probe exposes no cycle, lo being the last ratio found (or the
-    last lam probed, when there is none).  hi is only computed then: its Fraction
-    comparisons would cost more than the jumps."""
+    last lam probed, when there is none).  hi is only computed then."""
     lam, jumps = Fraction(1), 0
     cap = _jump_cap(m.n)
     while True:
@@ -515,7 +514,7 @@ def lambda_star_detailed(m: MetricSpace, *, engine: str = "newton") -> Tuple[Fra
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
     require_two_sites(m.n)
-    rows, _ = scaled_int_rows(m.dist)
+    rows, _ = m.scaled_ints
     if engine == "parametric":
         return _parametric(rows, Interval(*dilation_bounds(m)))
     return _newton(m, rows)

@@ -11,10 +11,14 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from starspan import (
+    DomainError,
     LambdaGraph,
     MetricSpace,
+    MetricViolation,
     RunStats,
     StarEmbedding,
+    VerificationReport,
+    Violation,
     hub_lengths,
     lambda_star_detailed,
     source_path_lengths,
@@ -147,3 +151,68 @@ def triangle_ok_bruteforce(rows) -> bool:
                 if rows[i][j] > rows[i][k] + rows[k][j]:
                     return False
     return True
+
+
+def reference_check_metric(labels, rows) -> None:
+    """Raise what MetricSpace(labels, rows) raises for a bad matrix.
+
+    The Fraction scan the validator used before it moved onto the
+    cleared integers: shape, then for each row i its diagonal and its
+    pairs (i, j > i), then the triangle inequality with k outermost and
+    (i, j) row-major, all compared as exact Fractions.
+    """
+    n = len(labels)
+    if n < 1:
+        raise DomainError("a metric space needs at least one site")
+    if len(set(labels)) != n:
+        raise DomainError("site labels must be distinct")
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DomainError(f"distance matrix must be {n}x{n}")
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise MetricViolation(
+                f"d({labels[i]},{labels[i]}) = {rows[i][i]}, expected 0", sites=(i,)
+            )
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise MetricViolation(
+                    f"asymmetry: d({labels[i]},{labels[j]}) = {rows[i][j]} "
+                    f"but d({labels[j]},{labels[i]}) = {rows[j][i]}",
+                    sites=(i, j),
+                )
+            if rows[i][j] <= 0:
+                raise MetricViolation(
+                    f"d({labels[i]},{labels[j]}) = {rows[i][j]} is not positive",
+                    sites=(i, j),
+                )
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if rows[i][j] > rows[i][k] + rows[k][j]:
+                    raise MetricViolation(
+                        f"triangle inequality fails at ({labels[i]},{labels[k]},{labels[j]}): "
+                        f"d = {rows[i][j]} > {rows[i][k]} + {rows[k][j]}",
+                        sites=(i, k, j),
+                    )
+
+
+def reference_verify_star(m: MetricSpace, s: StarEmbedding) -> VerificationReport:
+    """verify_star as one loop of Fraction sums, products and comparisons."""
+    if s.labels != m.labels:
+        raise DomainError("embedding labels do not match the metric's sites")
+    out = []
+    for i, c in enumerate(s.hub_len):
+        if c < 0:
+            out.append(Violation(1, (i,), f"c[{m.labels[i]}] = {c} < 0"))
+    for i in range(m.n):
+        for j in range(i + 1, m.n):
+            tot = s.hub_len[i] + s.hub_len[j]
+            d = m.dist[i][j]
+            pair = f"({m.labels[i]},{m.labels[j]})"
+            if tot < d:
+                out.append(Violation(2, (i, j), f"c+c = {tot} < d = {d} at {pair}"))
+            if tot > s.lambda_star * d:
+                out.append(
+                    Violation(3, (i, j), f"c+c = {tot} > lambda*d = {s.lambda_star * d} at {pair}")
+                )
+    return VerificationReport(tuple(out))
